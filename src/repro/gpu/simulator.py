@@ -20,8 +20,9 @@ metadata addressing guarantees it). :func:`split_event_log` shards the
 merged event stream into per-partition sub-logs, ``workers >= 2`` runs
 each shard in its own process, and the per-shard traffic counters,
 engine stats, and metric snapshots are folded back in partition order —
-byte-identical to the serial result (see docs/ARCHITECTURE.md § Sharded
-execution model).
+byte-identical to the serial result (see docs/ARCHITECTURE.md § Partition
+sharding). The experiments harness parallelizes whole replays instead
+(:meth:`repro.harness.runner.ExperimentContext.prefetch`).
 """
 
 from __future__ import annotations

@@ -2,14 +2,15 @@
 
 Runs the requested experiments (default: all) and prints their reports.
 Useful flags: ``--length`` to control trace size, ``--benchmarks`` to
-restrict the roster, ``--workers`` to shard engine replay across a
-process pool (default ``auto`` = one per core; ``1`` forces the serial
-reference path), ``--cache-dir`` to relocate or disable the on-disk
-trace/event-log cache.
+restrict the roster, ``--workers`` to run whole engine replays on a
+process pool that lives as long as the run (default ``auto`` = one per
+core; ``1`` forces the serial reference path), ``--cache-dir`` to
+relocate or disable the on-disk trace/event-log cache.
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
-docs/ARCHITECTURE.md § Observability.
+docs/ARCHITECTURE.md § Observability. It always replays serially, in
+process, so ``--workers`` does not change what it measures.
 
 ``python -m repro.harness inject <benchmark> --campaign <name>`` mounts
 an adversarial fault-injection campaign against the secure-memory model
@@ -74,7 +75,7 @@ from repro.common.errors import (
     EXIT_USAGE,
     ReproError,
 )
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import EXPERIMENTS, design_points
 from repro.harness.logsetup import add_logging_flags, setup_logging
 from repro.harness.report import render_experiment, render_profile
 from repro.harness.runner import (
@@ -124,13 +125,16 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=_workers_arg, default=None, metavar="N|auto",
         help="replay worker processes: an integer, or 'auto' for one per "
-             "CPU core (default); 1 forces the serial path",
+             "CPU core (default); 1 forces the serial path. Experiments "
+             "run whole replays on one pool for the run; sweep cells "
+             "shard each replay by partition; profile is always serial",
     )
     parser.add_argument(
         "--shard-timeout", type=_shard_timeout_arg, default=None,
         metavar="SECONDS",
-        help="wall-clock bound per parallel replay shard; shards that "
-             "exceed it are retried serially instead of hanging the run",
+        help="wall-clock bound on each wait for pooled replays; past it "
+             "the pool is stopped and its replays run serially instead "
+             "of hanging the run",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -624,8 +628,8 @@ def list_main(argv) -> int:
     # SWEEP_NAMES) so the listing is byte-stable across runs.
     section("benchmarks", sorted(benchmark_names()))
     section("engines", sorted(engine_factories()))
-    # How a campaign's units get executed: the serial reference path,
-    # the in-process sharded replay pool (--workers auto), or the
+    # How work gets executed: the serial reference path, the replay
+    # pool that runs whole replays for one run (--workers auto), or the
     # multi-process lease-queue executor (--workers N with journaling).
     section("executors", ("serial", "pool", "distributed"))
     section("experiments", sorted(EXPERIMENTS))
@@ -718,17 +722,19 @@ def main(argv=None) -> int:
         shard_timeout=args.shard_timeout,
         cache_dir=args.cache_dir,
     )
-    if supervision_requested(args):
-        return _supervised_experiments(args, ctx, selected)
-    try:
-        for key in selected:
-            print(render_experiment(EXPERIMENTS[key](ctx)))
-    except (ReproError, KeyError) as exc:
-        # Unknown engine keys and malformed traces surface here; a clear
-        # message beats a traceback for a CLI user.
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+    with ctx:
+        if supervision_requested(args):
+            return _supervised_experiments(args, ctx, selected)
+        try:
+            ctx.prefetch(design_points(selected))
+            for key in selected:
+                print(render_experiment(EXPERIMENTS[key](ctx)))
+        except (ReproError, KeyError) as exc:
+            # Unknown engine keys and malformed traces surface here; a
+            # clear message beats a traceback for a CLI user.
+            message = exc.args[0] if exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

@@ -162,10 +162,6 @@ def resolve_cache_dir(spec: Optional[str] = None) -> Optional[str]:
     return spec or None
 
 
-#: Backwards-compatible alias for the pre-resilience private name.
-_digest = content_digest
-
-
 @dataclass(frozen=True)
 class GcResult:
     """What one :meth:`DiskCache.gc` pass did (or would do)."""
@@ -219,7 +215,7 @@ class DiskCache:
     @staticmethod
     def trace_key(benchmark: str, length: int, seed: int) -> str:
         """Key for a generated benchmark trace (generator identity)."""
-        return _digest(
+        return content_digest(
             "trace", SCHEMA_VERSION, benchmark, str(length), str(seed)
         )
 
@@ -232,7 +228,7 @@ class DiskCache:
         without bookkeeping. ``GpuConfig`` is a frozen dataclass tree;
         its repr is a complete structural signature.
         """
-        return _digest(
+        return content_digest(
             "eventlog", SCHEMA_VERSION, dumps_trace(trace), repr(config)
         )
 

@@ -79,10 +79,9 @@ def run_profile(
 ) -> ProfileResult:
     """Run one fully instrumented simulation and export its artifacts.
 
-    ``workers`` follows :func:`repro.gpu.simulator.replay_events`
-    semantics (1 = serial, ``None`` = auto, >= 2 = sharded replay whose
-    worker metrics are merged back into this session's registry);
-    ``shard_timeout`` likewise bounds each shard's wall-clock seconds.
+    The replay always runs serially in this process — the code path
+    the replay pool's workers run — so ``workers`` and
+    ``shard_timeout`` are accepted for CLI symmetry but change nothing.
     ``chrome_out`` / ``collapsed_out`` export the span profiler as a
     Chrome ``trace_event`` JSON / a collapsed-stack (flamegraph) file.
     """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import ExperimentContext
+from repro.harness.runner import EngineSpec, ExperimentContext
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +74,42 @@ class TestEngineKeySemantics:
         full = ctx.run("lbm", "pssm")
         small = ctx.run("lbm", "pssm:4B-mac")
         assert small.traffic.mac_bytes <= full.traffic.mac_bytes
+
+
+class TestDesignIdentity:
+    def test_spelled_out_defaults_share_one_replay(self, ctx):
+        result = ctx.run("bfs", "plutus")
+        assert ctx.run("bfs", "plutus:vcache-256") is result
+        assert ctx.run("bfs", "plutus:pinned-0.25") is result
+        assert ctx.run("bfs", "plutus:vcache-128") is not result
+
+    def test_different_classes_never_merge(self, ctx):
+        # pssm and gran:128B match in traffic, but only empirically.
+        pssm = ctx.factories["pssm"].identity()
+        assert pssm != ctx.factories["gran:128B"].identity()
+
+    def test_identity_is_canonical(self):
+        from repro.secure.plutus import PlutusEngine
+        from repro.secure.value_cache import ValueCacheConfig
+
+        bare = EngineSpec(PlutusEngine)
+        explicit = EngineSpec(
+            PlutusEngine, value_cache_config=ValueCacheConfig(),
+            lazy_update=True,
+        )
+        assert bare.identity() == explicit.identity()
+        assert bare.identity() != EngineSpec(
+            PlutusEngine, lazy_update=False
+        ).identity()
+
+    def test_custom_key_does_not_shadow_named_run(self):
+        from repro.secure.engine import NoSecurityEngine
+
+        fresh = ExperimentContext(trace_length=500, benchmarks=["bfs"])
+        custom = fresh.run_custom("bfs", "plutus", EngineSpec(NoSecurityEngine))
+        named = fresh.run("bfs", "plutus")
+        assert custom.metadata_bytes == 0
+        assert named.metadata_bytes > 0
+        assert fresh.run_custom(
+            "bfs", "plutus", EngineSpec(NoSecurityEngine)
+        ) is custom
