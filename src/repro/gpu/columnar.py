@@ -3,7 +3,7 @@
 The event log used to be a Python list of :class:`MemoryEvent` objects —
 fine at thousands of events, ruinous at millions: every event costs an
 object header, every replay pass re-dispatches per event, and pickling a
-shard for the process pool serializes objects one by one. This module
+log for the replay pool serializes objects one by one. This module
 stores the same stream as parallel columns instead:
 
 * ``kind``      — one byte per event (0 = fill, 1 = writeback);
@@ -17,7 +17,7 @@ Three views cooperate:
 * :class:`ColumnStore` — the growable builder (``bytearray`` +
   ``array.array`` columns) the L2 pass appends into;
 * :class:`EventColumns` — an immutable numpy snapshot of a store, the
-  form the vectorized replay, sharding, and serialization operate on;
+  form the vectorized replay and serialization operate on;
 * :class:`EventView` — a lazy ``Sequence[MemoryEvent]`` over a store, so
   every caller written against ``log.events`` (iteration, indexing,
   slicing, equality) keeps working unchanged; events are materialized
@@ -392,7 +392,7 @@ class ColumnStore:
             and self._payload == other._payload
         )
 
-    # -- pickling (drop the snapshot cache; shards ship columns only) -----
+    # -- pickling (drop the snapshot cache; ship the columns only) --------
 
     def __getstate__(self):
         return (

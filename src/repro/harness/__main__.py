@@ -2,15 +2,16 @@
 
 Runs the requested experiments (default: all) and prints their reports.
 Useful flags: ``--length`` to control trace size, ``--benchmarks`` to
-restrict the roster, ``--workers`` to run whole engine replays on a
-process pool that lives as long as the run (default ``auto`` = one per
-core; ``1`` forces the serial reference path), ``--cache-dir`` to
-relocate or disable the on-disk trace/event-log cache.
+restrict the roster, ``--workers`` to size the process pool that runs
+whole engine replays for the run (default ``auto`` = one per core;
+``1`` forces the serial reference path; the same with or without a run
+journal or ``--supervise``), ``--cache-dir`` to relocate or disable the
+on-disk trace/event-log cache.
 
 ``python -m repro.harness profile <benchmark>`` instead runs one fully
 instrumented simulation and renders the observability dashboard; see
 docs/ARCHITECTURE.md § Observability. It always replays serially, in
-process, so ``--workers`` does not change what it measures.
+process.
 
 ``python -m repro.harness inject <benchmark> --campaign <name>`` mounts
 an adversarial fault-injection campaign against the secure-memory model
@@ -33,7 +34,8 @@ shared lease-based work queue — dead workers are detected by
 heartbeat and their units stolen, ``--speculate`` duplicates
 stragglers, and the merged report stays byte-identical to a serial
 run; see docs/ARCHITECTURE.md § Distributed execution. The same flag
-reaches ``inject``, ``conform --fuzz``, and the experiments command.
+reaches ``inject`` and ``conform --fuzz``; it needs a run journal, so
+``--run-dir ''`` with ``--workers N`` is a usage error.
 
 ``python -m repro.harness status <journal>`` monitors a supervised run
 from its journal, read-only and safe against the live campaign;
@@ -46,8 +48,8 @@ artifact store: entry/byte counts and lifetime hit/corruption
 counters, plus LRU eviction down to ``--max-bytes`` that never evicts
 entries pinned by an in-flight campaign.
 
-``python -m repro.harness bench`` measures replay throughput
-(events/sec, serial and sharded) across engine design points and
+``python -m repro.harness bench`` measures serial replay throughput
+(events/sec) across engine design points and
 appends the result to the committed benchmark trajectory
 (benchmarks/BENCH_0001.json).
 
@@ -86,6 +88,7 @@ from repro.harness.runner import (
 from repro.harness.supervise import (
     add_resilience_flags,
     build_supervisor,
+    distributed_requested,
     supervision_requested,
 )
 from repro.obs import ObsConfig
@@ -121,21 +124,7 @@ def _shard_timeout_arg(value: str) -> float:
     return timeout
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto",
-        help="replay worker processes: an integer, or 'auto' for one per "
-             "CPU core (default); 1 forces the serial path. Experiments "
-             "run whole replays on one pool for the run; sweep cells "
-             "shard each replay by partition; profile is always serial",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=_shard_timeout_arg, default=None,
-        metavar="SECONDS",
-        help="wall-clock bound on each wait for pooled replays; past it "
-             "the pool is stopped and its replays run serially instead "
-             "of hanging the run",
-    )
+def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="root of the on-disk trace/event-log cache (default: "
@@ -203,7 +192,7 @@ def profile_main(argv) -> int:
         help="write the span profile as collapsed stacks "
              "(flamegraph.pl / speedscope input)",
     )
-    _add_execution_flags(parser)
+    _add_cache_dir_flag(parser)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -228,8 +217,6 @@ def profile_main(argv) -> int:
             trace_out=args.trace_out,
             chrome_out=args.chrome_out,
             collapsed_out=args.collapsed_out,
-            workers=args.workers,
-            shard_timeout=args.shard_timeout,
             cache_dir=args.cache_dir,
         )
     except ReproError as exc:
@@ -275,11 +262,7 @@ def inject_main(argv) -> int:
     parser.add_argument(
         "--seed", type=int, default=2023, help="trace generation seed"
     )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="root of the on-disk trace cache (default: $REPRO_CACHE_DIR "
-             "or .cache; pass '' to disable)",
-    )
+    _add_cache_dir_flag(parser)
     add_resilience_flags(parser, workers=True)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
@@ -291,8 +274,6 @@ def inject_main(argv) -> int:
     )
     for engine in args.engines or ():
         _check_known(parser, "engine variant", engine, ENGINE_VARIANTS)
-
-    from repro.harness.supervise import distributed_requested
 
     if args.campaign in CRASH_CAMPAIGNS:
         if args.engines:
@@ -448,7 +429,7 @@ def conform_main(argv) -> int:
         parser.error("--fuzz must be >= 0")
     if args.fuzz_chunk < 1:
         parser.error("--fuzz-chunk must be >= 1")
-    if getattr(args, "workers", None) is not None and args.fuzz <= 0:
+    if args.workers is not None and args.fuzz <= 0:
         parser.error("--workers applies to the fuzz stage; pass --fuzz N")
 
     from pathlib import Path
@@ -459,7 +440,9 @@ def conform_main(argv) -> int:
     from repro.resilience import render_outcome
 
     supervisor_factory = None
-    if args.fuzz > 0 and supervision_requested(args):
+    if args.fuzz > 0 and (
+        supervision_requested(args) or distributed_requested(args)
+    ):
         from repro.resilience import factory_spec
 
         # Mirrors run_conform's own fuzz_campaign call so distributed
@@ -543,8 +526,8 @@ def sweep_main(argv) -> int:
         "--report-out", default=None, metavar="PATH",
         help="additionally write the report to PATH (crash-atomically)",
     )
-    _add_execution_flags(parser)
-    add_resilience_flags(parser)
+    _add_cache_dir_flag(parser)
+    add_resilience_flags(parser, workers=True)
     add_logging_flags(parser)
     args = parser.parse_args(argv)
     setup_logging(args)
@@ -561,13 +544,10 @@ def sweep_main(argv) -> int:
             args.benchmark,
             trace_length=args.length,
             seed=args.seed,
-            workers=args.workers,
             cache_dir=args.cache_dir,
-            shard_timeout=args.shard_timeout,
         )
-        # Worker-side factory: cells replay serially inside each worker
-        # (the distributed fan-out *is* the parallelism); the execution
-        # knobs are outside unit identity, so fingerprints still match.
+        # Worker-side factory: the cache location is outside unit
+        # identity, so fingerprints still match.
         spec = factory_spec(
             "repro.harness.sweeps:sweep_campaign",
             {
@@ -575,9 +555,7 @@ def sweep_main(argv) -> int:
                 "benchmark": args.benchmark,
                 "trace_length": args.length,
                 "seed": args.seed,
-                "workers": 1,
                 "cache_dir": args.cache_dir,
-                "shard_timeout": args.shard_timeout,
             },
         )
         supervisor = build_supervisor(args, campaign, factory_spec=spec)
@@ -629,8 +607,9 @@ def list_main(argv) -> int:
     section("benchmarks", sorted(benchmark_names()))
     section("engines", sorted(engine_factories()))
     # How work gets executed: the serial reference path, the replay
-    # pool that runs whole replays for one run (--workers auto), or the
-    # multi-process lease-queue executor (--workers N with journaling).
+    # pool that runs whole replays for one experiments run (its
+    # --workers), or the multi-process lease-queue executor (--workers N
+    # on sweep, inject and conform --fuzz).
     section("executors", ("serial", "pool", "distributed"))
     section("experiments", sorted(EXPERIMENTS))
     section("sweeps", SWEEP_NAMES)
@@ -695,7 +674,20 @@ def main(argv=None) -> int:
         metavar="BENCHMARK",
         help="restrict to a subset of the benchmark roster",
     )
-    _add_execution_flags(parser)
+    parser.add_argument(
+        "--workers", type=_workers_arg, default=None, metavar="N|auto",
+        help="replay pool size: an integer, or 'auto' for one per CPU "
+             "core (default); 1 runs every replay serially in this "
+             "process",
+    )
+    parser.add_argument(
+        "--shard-timeout", type=_shard_timeout_arg, default=None,
+        metavar="SECONDS",
+        help="wall-clock bound on each wait for pooled replays; past it "
+             "the pool is stopped and its replays run serially instead "
+             "of hanging the run",
+    )
+    _add_cache_dir_flag(parser)
     parser.add_argument(
         "--supervise", action="store_true",
         help="run the experiments under the campaign supervisor: one "
@@ -749,24 +741,11 @@ def _supervised_experiments(args, ctx, selected) -> int:
         experiments_campaign,
         result_from_payload,
     )
-    from repro.resilience import factory_spec, render_outcome
+    from repro.resilience import render_outcome
 
     try:
         campaign = experiments_campaign(ctx, selected)
-        spec = factory_spec(
-            "repro.harness.experiments:experiments_campaign_from_params",
-            {
-                "selected": list(selected),
-                "trace_length": args.length,
-                "seed": args.seed,
-                "benchmarks": list(ctx.benchmarks),
-                "workers": 1,
-                "shard_timeout": args.shard_timeout,
-                "cache_dir": args.cache_dir,
-            },
-        )
-        supervisor = build_supervisor(args, campaign, factory_spec=spec)
-        outcome = supervisor.run(campaign)
+        outcome = build_supervisor(args, campaign).run(campaign)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,9 +10,7 @@ suite iterate over.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.resilience import Campaign
@@ -23,7 +21,7 @@ from repro.analysis.storage import design_comparison
 from repro.analysis.power import EnergyParams, estimate_power, power_overhead
 from repro.analysis.summarize import improvement_summary
 from repro.gpu.perf_model import normalized_ipc
-from repro.harness.runner import DEFAULT_TRACE_LENGTH, ExperimentContext
+from repro.harness.runner import ExperimentContext
 from repro.workloads.stats import characterize
 from repro.workloads.values import study_trace_values
 
@@ -515,36 +513,6 @@ def experiments_campaign(
         for index, key in enumerate(selected)
     ]
     return Campaign(name="experiments", units=units)
-
-
-def experiments_campaign_from_params(
-    selected: "List[str]",
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    seed: int = 2023,
-    benchmarks: "Optional[List[str]]" = None,
-    workers: "Optional[int]" = 1,
-    shard_timeout: "Optional[float]" = None,
-    cache_dir: "Optional[str]" = None,
-) -> "Campaign":
-    """JSON-kwargs form of :func:`experiments_campaign`.
-
-    The worker-side campaign factory of distributed runs: everything
-    that shapes results is an explicit JSON-able parameter, and the
-    execution knobs (workers, shard timeout, cache root) stay outside
-    the context fingerprint, so a worker rebuilding with ``workers=1``
-    produces the exact campaign the coordinator journaled.
-    """
-    from repro.workloads.benchmarks import benchmark_names
-
-    ctx = ExperimentContext(
-        trace_length=trace_length,
-        seed=seed,
-        benchmarks=list(benchmarks) if benchmarks else benchmark_names(),
-        workers=workers,
-        shard_timeout=shard_timeout,
-        cache_dir=cache_dir,
-    )
-    return experiments_campaign(ctx, list(selected))
 
 
 def result_from_payload(payload: Dict[str, object]) -> ExperimentResult:

@@ -73,15 +73,12 @@ def run_profile(
     trace_out: Optional[str] = None,
     chrome_out: Optional[str] = None,
     collapsed_out: Optional[str] = None,
-    workers: "int | None" = 1,
-    shard_timeout: Optional[float] = None,
     cache_dir: Optional[str] = None,
 ) -> ProfileResult:
     """Run one fully instrumented simulation and export its artifacts.
 
     The replay always runs serially in this process — the code path
-    the replay pool's workers run — so ``workers`` and
-    ``shard_timeout`` are accepted for CLI symmetry but change nothing.
+    the replay pool's workers run.
     ``chrome_out`` / ``collapsed_out`` export the span profiler as a
     Chrome ``trace_event`` JSON / a collapsed-stack (flamegraph) file.
     """
@@ -95,8 +92,6 @@ def run_profile(
         seed=seed,
         benchmarks=[benchmark],
         obs=obs,
-        workers=workers,
-        shard_timeout=shard_timeout,
         cache_dir=cache_dir,
     )
     result = ctx.run(benchmark, engine_key)

@@ -45,7 +45,6 @@ from repro.gpu.simulator import (
     MemoryEventLog,
     SimulationResult,
     replay_events,
-    resolve_workers,
     simulate_l2,
 )
 from repro.harness.diskcache import DiskCache, content_digest
@@ -199,6 +198,15 @@ def engine_factories() -> Dict[str, EngineFactory]:
             value_cache_config=ValueCacheConfig(pinned_fraction=fraction)
         )
     return factories
+
+
+def resolve_workers(workers: "int | None") -> int:
+    """Normalize a ``--workers`` value: ``None`` means one per CPU core."""
+    if workers is None:
+        return max(1, os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError("workers must be >= 1 (or None for auto)")
+    return workers
 
 
 #: Most chunks one benchmark's pooled replays are split into. Each chunk

@@ -1,7 +1,7 @@
 """Failure taxonomy and the retry-with-backoff policy.
 
-Extends PR 3's shard-level classes (crash / timeout / deterministic)
-to whole work units:
+Extends the replay pool's failure classes (crash / timeout /
+deterministic) to whole work units:
 
 * ``DETERMINISTIC`` — a :class:`~repro.common.errors.ReproError`: the
   library itself rejected the work. Retrying replays the same inputs

@@ -298,11 +298,9 @@ class TestDoctoredImplementationsAreCaught:
 
         log = _small_log()
         factory = _FACTORIES["pssm"]
-        scalar = replay_events(log, factory, VOLTA, workers=1, path="object")
+        scalar = replay_events(log, factory, VOLTA, path="object")
         monkeypatch.setattr(PssmEngine, "on_fill_batch", doctored)
-        columnar = replay_events(
-            log, factory, VOLTA, workers=1, path="columnar"
-        )
+        columnar = replay_events(log, factory, VOLTA, path="columnar")
         # The columnar-object-identity invariant is results_equal over
         # exactly this pair; it must name the diverging surface.
         messages = results_equal(scalar, columnar)

@@ -47,18 +47,10 @@ class TestRunBench:
         assert set(entry["engines"]) == set(DEFAULT_ENGINES[:3])
         for row in entry["engines"].values():
             assert row["serial_eps"] > 0
-            # default_shard_workers() >= 2, so the sharded pass always runs
-            assert row["sharded_eps"] > 0
-        assert entry["workers"] >= 2
+            assert "sharded_eps" not in row
 
     def test_entry_is_json_serializable(self, entry):
         assert json.loads(json.dumps(entry))["events"] == entry["events"]
-
-    def test_workers_one_skips_sharded_pass(self):
-        entry = run_bench("bfs", ["nosec"], length=200, repeats=1, workers=1)
-        row = entry["engines"]["nosec"]
-        assert "sharded_eps" not in row
-        assert entry["workers"] == 1
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(KeyError, match="bogus"):
@@ -83,9 +75,7 @@ class TestRunBench:
         assert entry["engines"]["pssm"]["batched"] is True
 
     def test_recoverable_engine_opts_out_of_batching(self):
-        entry = run_bench(
-            "bfs", ["recoverable"], length=200, repeats=1, workers=1,
-        )
+        entry = run_bench("bfs", ["recoverable"], length=200, repeats=1)
         # The WAL's append-per-event ordering cannot be vectorized
         # without changing the log; the engine must stay on the scalar
         # replay contract.
@@ -93,8 +83,7 @@ class TestRunBench:
 
     def test_object_path_recorded_when_requested(self):
         entry = run_bench(
-            "bfs", ["nosec"], length=200, repeats=1, workers=1,
-            path="object",
+            "bfs", ["nosec"], length=200, repeats=1, path="object"
         )
         assert entry["path"] == "object"
 
@@ -104,7 +93,7 @@ class TestRunBench:
 
     def test_verify_identity_passes_on_real_engines(self):
         entry = run_bench(
-            "bfs", ["nosec", "plutus"], length=200, repeats=1, workers=1,
+            "bfs", ["nosec", "plutus"], length=200, repeats=1,
             verify_identity=True,
         )
         assert set(entry["engines"]) == {"nosec", "plutus"}
@@ -123,7 +112,7 @@ class TestRunBench:
         monkeypatch.setattr(simulator, "replay_events", skewed)
         with pytest.raises(IdentityMismatchError, match="nosec"):
             run_bench(
-                "bfs", ["nosec"], length=200, repeats=1, workers=1,
+                "bfs", ["nosec"], length=200, repeats=1,
                 verify_identity=True,
             )
 
@@ -155,14 +144,13 @@ class TestTrajectoryFile:
             load_trajectory(path)
 
     def test_committed_trajectory_is_loadable_and_complete(self):
-        """The committed file must carry serial+sharded eps for >= 3 engines."""
+        """The committed file must carry serial eps for >= 3 engines."""
         payload = load_trajectory(REPO_ROOT / "benchmarks" / "BENCH_0001.json")
         assert payload["entries"], "committed trajectory has no entries"
         latest = payload["entries"][-1]
         assert len(latest["engines"]) >= 3
         for row in latest["engines"].values():
             assert row["serial_eps"] > 0
-            assert row["sharded_eps"] > 0
 
 
 class TestCompareTrajectory:

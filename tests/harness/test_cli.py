@@ -78,6 +78,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["eq1", "--workers", "0"])
 
+    def test_workers_n_sizes_the_replay_pool_under_a_journal(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.resilience.distributed import DistributedSupervisor
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("started a lease-queue worker")
+
+        monkeypatch.setattr(DistributedSupervisor, "_spawn", no_workers)
+        # The default --run-dir (.runs) resolves against the cwd.
+        monkeypatch.chdir(tmp_path)
+        argv = ["fig06", "fig18", "--length", "300", "--cache-dir", "",
+                "--benchmarks", "bfs", "lbm"]
+        assert main([*argv, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert not (tmp_path / ".runs").exists()
+
     def test_shard_timeout_flag_accepts_seconds(self, capsys):
         rc = main(["eq1", "--length", "300", "--benchmarks", "bfs",
                    "--shard-timeout", "30"])

@@ -77,6 +77,16 @@ class TestSweepCli:
         assert captured.out == fresh_out  # byte-identical resumed report
         assert "5 resumed" in captured.err
 
+    def test_distributed_workers_without_journal_is_usage_error(
+        self, capsys
+    ):
+        rc = main(["sweep", "seeds", "bfs", "--length", "300",
+                   "--workers", "2", "--run-dir", ""])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--workers needs a run journal" in err
+        assert "Traceback" not in err
+
     def test_resume_unknown_run_id_is_usage_error(self, capsys, tmp_path):
         rc = main([
             "sweep", "memory-intensity", "bfs", "--length", "400",

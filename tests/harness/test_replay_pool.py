@@ -82,8 +82,8 @@ class TestPooledEqualsSerial:
         serial = capsys.readouterr().out
         for key in EXPERIMENTS:
             assert key in serial
-        # Without a run journal, --workers 2 is the replay pool, not the
-        # distributed executor; --supervise runs experiments as units.
+        # --workers 2 sizes the replay pool; --supervise runs the
+        # experiments as work units on the same pool.
         pooled = [*argv, "--workers", "2", "--run-dir", ""]
         assert main(pooled) == 0
         assert capsys.readouterr().out == serial

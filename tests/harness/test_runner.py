@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.harness.runner import EngineSpec, ExperimentContext
+from repro.harness.runner import (
+    EngineSpec,
+    ExperimentContext,
+    resolve_workers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,18 @@ class TestCaching:
 
     def test_results_keyed_by_engine(self, ctx):
         assert ctx.run("bfs", "pssm") is not ctx.run("bfs", "plutus")
+
+
+class TestResolveWorkers:
+    def test_auto_uses_at_least_one(self):
+        assert resolve_workers(None) >= 1
+
+    def test_explicit_passthrough(self):
+        assert resolve_workers(3) == 3
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            resolve_workers(0)
 
 
 class TestFactories:
