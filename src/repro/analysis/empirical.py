@@ -66,6 +66,8 @@ def run_forgery_experiment(
     total_values = 0
     hot_choices = rng.child("choices")
     flips = rng.child("flips")
+    # The cache is not touched inside the loop, so its key set is fixed.
+    cached_keys = set(cache._transient) | set(cache._pinned)
 
     for trial in range(trials):
         picks = hot_choices.integers(0, len(hot), size=8)
@@ -81,8 +83,7 @@ def run_forgery_experiment(
         tampered_values = values[4 * tampered_block : 4 * tampered_block + 4]
         # Score only the tampered unit: the untouched one passes by
         # construction and would dilute the statistics.
-        hits = sum(1 for v in tampered_values if cache._key(v) in
-                   set(cache._transient) | set(cache._pinned))
+        hits = sum(1 for v in tampered_values if cache._key(v) in cached_keys)
         value_hits += hits
         total_values += 4
         if hits >= cache_config.hits_required:

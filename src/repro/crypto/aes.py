@@ -7,14 +7,19 @@ derived from the GF(2^8) multiplicative inverse plus the affine map, key
 expansion follows the Rijndael schedule, and both the encrypt and decrypt
 directions are provided.
 
-The implementation favours clarity over throughput; the performance
-simulator never encrypts real data (it accounts traffic symbolically), so
-this code only runs in functional mode and in the test suite, where known
-NIST vectors pin it down.
+Rounds run on four 32-bit column words through T-tables (SubBytes,
+ShiftRows and MixColumns folded into ``Te0..Te3``/``Td0..Td3``), which
+are themselves built at import from the derived S-box and
+:func:`gf256_mul`, so every constant stays traceable to GF(2^8)
+arithmetic. The performance simulator never encrypts real data (it
+accounts traffic symbolically); this code runs in functional mode (the
+forgery study, tamper and crash campaigns) and in the test suite, where
+NIST vectors and a per-byte FIPS-197 reference cipher pin it down.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import List, Tuple
 
 from repro.common.errors import BlockSizeError, KeySizeError
@@ -116,60 +121,54 @@ def expand_key(key: bytes) -> List[List[int]]:
     return round_keys
 
 
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
+def _rotate_word(word: int, bits: int) -> int:
+    """Rotate a 32-bit word right by *bits*."""
+    return ((word >> bits) | (word << (32 - bits))) & 0xFFFFFFFF
 
 
-def _inv_sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _INV_SBOX[state[i]]
+def _column_word(b0: int, b1: int, b2: int, b3: int) -> int:
+    return (b0 << 24) | (b1 << 16) | (b2 << 8) | b3
 
 
-# State layout: state[4*c + r] is row r of column c (FIPS byte order).
-_SHIFT_MAP = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
-_INV_SHIFT_MAP = [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3]
+def _build_round_tables() -> Tuple[List[List[int]], List[List[int]]]:
+    """Fold SubBytes + MixColumns into four 32-bit lookup tables per direction.
 
-
-def _shift_rows(state: List[int]) -> List[int]:
-    return [state[_SHIFT_MAP[i]] for i in range(16)]
-
-
-def _inv_shift_rows(state: List[int]) -> List[int]:
-    return [state[_INV_SHIFT_MAP[i]] for i in range(16)]
-
-
-def _mix_single_column(col: List[int]) -> List[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf256_mul(a0, 2) ^ gf256_mul(a1, 3) ^ a2 ^ a3,
-        a0 ^ gf256_mul(a1, 2) ^ gf256_mul(a2, 3) ^ a3,
-        a0 ^ a1 ^ gf256_mul(a2, 2) ^ gf256_mul(a3, 3),
-        gf256_mul(a0, 3) ^ a1 ^ a2 ^ gf256_mul(a3, 2),
+    ``Te0[x]`` is the MixColumns column produced by S-box output
+    ``S[x]`` sitting in row 0 (coefficients 2, 1, 1, 3); ``Td0[x]`` is
+    the InvMixColumns column for ``InvS[x]`` (14, 9, 13, 11). Rows 1-3
+    are byte rotations of row 0, so one round becomes sixteen table
+    lookups and XORs on four column words.
+    """
+    te0 = [
+        _column_word(gf256_mul(s, 2), s, s, gf256_mul(s, 3)) for s in _SBOX
     ]
-
-
-def _inv_mix_single_column(col: List[int]) -> List[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf256_mul(a0, 14) ^ gf256_mul(a1, 11) ^ gf256_mul(a2, 13) ^ gf256_mul(a3, 9),
-        gf256_mul(a0, 9) ^ gf256_mul(a1, 14) ^ gf256_mul(a2, 11) ^ gf256_mul(a3, 13),
-        gf256_mul(a0, 13) ^ gf256_mul(a1, 9) ^ gf256_mul(a2, 14) ^ gf256_mul(a3, 11),
-        gf256_mul(a0, 11) ^ gf256_mul(a1, 13) ^ gf256_mul(a2, 9) ^ gf256_mul(a3, 14),
+    td0 = [
+        _column_word(
+            gf256_mul(s, 14), gf256_mul(s, 9), gf256_mul(s, 13), gf256_mul(s, 11)
+        )
+        for s in _INV_SBOX
     ]
+    te = [te0] + [[_rotate_word(w, 8 * k) for w in te0] for k in (1, 2, 3)]
+    td = [td0] + [[_rotate_word(w, 8 * k) for w in td0] for k in (1, 2, 3)]
+    return te, td
 
 
-def _mix_columns(state: List[int], inverse: bool = False) -> List[int]:
-    mix = _inv_mix_single_column if inverse else _mix_single_column
-    out: List[int] = []
-    for c in range(4):
-        out.extend(mix(state[4 * c : 4 * c + 4]))
-    return out
+(_TE0, _TE1, _TE2, _TE3), (_TD0, _TD1, _TD2, _TD3) = _build_round_tables()
+
+# A 16-byte state (or round key) is four big-endian column words:
+# column c holds FIPS bytes 4c..4c+3, row 0 in the top byte.
+_COLUMNS = struct.Struct(">4I")
 
 
-def _add_round_key(state: List[int], round_key: List[int]) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
+def _inv_mix_column_word(word: int) -> int:
+    """InvMixColumns of one column word (``Td`` composed with ``S`` cancels the S-box)."""
+    sbox = _SBOX
+    return (
+        _TD0[sbox[word >> 24]]
+        ^ _TD1[sbox[(word >> 16) & 0xFF]]
+        ^ _TD2[sbox[(word >> 8) & 0xFF]]
+        ^ _TD3[sbox[word & 0xFF]]
+    )
 
 
 class AES:
@@ -180,9 +179,27 @@ class AES:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)
+        round_keys = expand_key(key)
         self.key_len = len(key)
         self.rounds = _ROUNDS_BY_KEY_LEN[self.key_len]
+        enc: List[int] = []
+        for round_key in round_keys:
+            enc.extend(_COLUMNS.unpack(bytes(round_key)))
+        # Equivalent inverse cipher (FIPS-197 section 5.3.5): round keys
+        # in reverse order, InvMixColumns applied to the middle rounds so
+        # decryption shares the encrypt round's lookup-then-XOR shape.
+        dec: List[int] = []
+        for r in range(self.rounds, -1, -1):
+            words = enc[4 * r : 4 * r + 4]
+            if 0 < r < self.rounds:
+                words = [_inv_mix_column_word(w) for w in words]
+            dec.extend(words)
+        self._enc_keys = enc
+        self._dec_keys = dec
+
+    def __deepcopy__(self, memo: dict) -> "AES":
+        # Immutable once keyed: engine forks (``deepcopy``) share it.
+        return self
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
@@ -190,17 +207,40 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be {BLOCK_SIZE} bytes, got {len(plaintext)}"
             )
-        state = list(plaintext)
-        _add_round_key(state, self._round_keys[0])
-        for r in range(1, self.rounds):
-            _sub_bytes(state)
-            state = _shift_rows(state)
-            state = _mix_columns(state)
-            _add_round_key(state, self._round_keys[r])
-        _sub_bytes(state)
-        state = _shift_rows(state)
-        _add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        rk = self._enc_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        s0, s1, s2, s3 = _COLUMNS.unpack(plaintext)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        k = 4
+        # SubBytes + ShiftRows + MixColumns + AddRoundKey: output column c
+        # takes row r from input column c + r (mod 4).
+        for _ in range(self.rounds - 1):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3],
+            )
+            k += 4
+        # Final round: no MixColumns.
+        sbox = _SBOX
+        return _COLUMNS.pack(
+            ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
+             | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ rk[k],
+            ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
+             | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ rk[k + 1],
+            ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
+             | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ rk[k + 2],
+            ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
+             | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[k + 3],
+        )
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
@@ -208,17 +248,39 @@ class AES:
             raise BlockSizeError(
                 f"AES block must be {BLOCK_SIZE} bytes, got {len(ciphertext)}"
             )
-        state = list(ciphertext)
-        _add_round_key(state, self._round_keys[self.rounds])
-        state = _inv_shift_rows(state)
-        _inv_sub_bytes(state)
-        for r in range(self.rounds - 1, 0, -1):
-            _add_round_key(state, self._round_keys[r])
-            state = _mix_columns(state, inverse=True)
-            state = _inv_shift_rows(state)
-            _inv_sub_bytes(state)
-        _add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        dk = self._dec_keys
+        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
+        s0, s1, s2, s3 = _COLUMNS.unpack(ciphertext)
+        s0 ^= dk[0]
+        s1 ^= dk[1]
+        s2 ^= dk[2]
+        s3 ^= dk[3]
+        k = 4
+        # InvSubBytes + InvShiftRows + InvMixColumns + AddRoundKey: output
+        # column c takes row r from input column c - r (mod 4).
+        for _ in range(self.rounds - 1):
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF]
+                ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[k],
+                td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF]
+                ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[k + 1],
+                td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF]
+                ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[k + 2],
+                td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF]
+                ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[k + 3],
+            )
+            k += 4
+        inv = _INV_SBOX
+        return _COLUMNS.pack(
+            ((inv[s0 >> 24] << 24) | (inv[(s3 >> 16) & 0xFF] << 16)
+             | (inv[(s2 >> 8) & 0xFF] << 8) | inv[s1 & 0xFF]) ^ dk[k],
+            ((inv[s1 >> 24] << 24) | (inv[(s0 >> 16) & 0xFF] << 16)
+             | (inv[(s3 >> 8) & 0xFF] << 8) | inv[s2 & 0xFF]) ^ dk[k + 1],
+            ((inv[s2 >> 24] << 24) | (inv[(s1 >> 16) & 0xFF] << 16)
+             | (inv[(s0 >> 8) & 0xFF] << 8) | inv[s3 & 0xFF]) ^ dk[k + 2],
+            ((inv[s3 >> 24] << 24) | (inv[(s2 >> 16) & 0xFF] << 16)
+             | (inv[(s1 >> 8) & 0xFF] << 8) | inv[s0 & 0xFF]) ^ dk[k + 3],
+        )
 
 
 def sbox_table() -> List[int]:

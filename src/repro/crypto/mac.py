@@ -2,8 +2,9 @@
 
 Two constructions are provided:
 
-* :class:`HmacSha256Mac` — HMAC over the from-scratch SHA-256, the
-  default integrity primitive for data sectors and BMT nodes.
+* :class:`HmacSha256Mac` — HMAC (RFC 2104) over :mod:`hashlib`'s
+  SHA-256, the default integrity primitive for data sectors and BMT
+  nodes.
 * :class:`CmacAesMac` — CMAC (NIST SP 800-38B) over the from-scratch
   AES, matching the AES-based MAC units typical in secure-memory
   hardware proposals.
@@ -18,10 +19,11 @@ the collision rate of the truncated tag.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.common.bitops import xor_bytes
 from repro.common.errors import ConfigurationError
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.sha256 import sha256
 from repro.obs.session import active as _obs_active
 
 
@@ -92,13 +94,34 @@ class HmacSha256Mac(MacAlgorithm):
 
     def __init__(self, key: bytes, tag_bytes: int = 8) -> None:
         super().__init__(key, tag_bytes)
-        padded = key if len(key) <= self._BLOCK else sha256(key)
+        self._absorb_pads()
+
+    def _absorb_pads(self) -> None:
+        # The padded-key blocks are the same for every message, so hash
+        # them once and copy the resulting states per tag.
+        key = self.key
+        padded = key if len(key) <= self._BLOCK else hashlib.sha256(key).digest()
         padded = padded + b"\x00" * (self._BLOCK - len(padded))
-        self._inner = xor_bytes(padded, b"\x36" * self._BLOCK)
-        self._outer = xor_bytes(padded, b"\x5c" * self._BLOCK)
+        self._inner = hashlib.sha256(xor_bytes(padded, b"\x36" * self._BLOCK))
+        self._outer = hashlib.sha256(xor_bytes(padded, b"\x5c" * self._BLOCK))
+
+    # hashlib states cannot be pickled or deep-copied (the crash harness
+    # forks engines with deepcopy); drop them and re-absorb the pads.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_inner"], state["_outer"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._absorb_pads()
 
     def _full_tag(self, message: bytes) -> bytes:
-        return sha256(self._outer + sha256(self._inner + message))
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 class CmacAesMac(MacAlgorithm):

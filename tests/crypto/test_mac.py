@@ -1,7 +1,9 @@
 """MAC tests: RFC/NIST vectors, stateful binding, truncation."""
 
+import copy
 import hashlib
 import hmac as hmac_stdlib
+import pickle
 
 import pytest
 
@@ -23,6 +25,13 @@ class TestHmacAgainstStdlib:
         message = (0).to_bytes(8, "little") * 2 + b"m"
         expected = hmac_stdlib.new(key, message, hashlib.sha256).digest()
         assert mac.compute(b"m") == expected
+
+    def test_deepcopy_and_pickle_keep_tags(self):
+        """Engine forks deep-copy MACs; the hashlib pad states are rebuilt."""
+        mac = HmacSha256Mac(b"fork-key", tag_bytes=8)
+        tag = mac.compute(b"data", address=3, counter=9)
+        for clone in (copy.deepcopy(mac), pickle.loads(pickle.dumps(mac))):
+            assert clone.compute(b"data", address=3, counter=9) == tag
 
 
 class TestCmacNistVectors:

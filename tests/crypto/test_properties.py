@@ -1,6 +1,7 @@
 """Property-based tests over the crypto substrate (hypothesis)."""
 
 import hashlib
+import hmac as hmac_stdlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,13 @@ from repro.crypto.aes import AES
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.gf import MASK_128, gf128_mul, multiply_by_alpha
 from repro.crypto.mac import HmacSha256Mac
-from repro.crypto.sha256 import sha256
 from repro.crypto.xts import AesXts
+from tests.crypto.reference_aes import ReferenceAES
 
 keys16 = st.binary(min_size=16, max_size=16)
+aes_keys = st.sampled_from([16, 24, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
 blocks = st.binary(min_size=16, max_size=16)
 elements = st.integers(min_value=0, max_value=MASK_128)
 
@@ -22,6 +26,17 @@ elements = st.integers(min_value=0, max_value=MASK_128)
 def test_aes_decrypt_inverts_encrypt(key, block):
     cipher = AES(key)
     assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=aes_keys, block=blocks)
+def test_aes_tables_match_per_byte_reference(key, block):
+    """The T-table rounds equal the textbook FIPS-197 rounds, both ways."""
+    cipher, reference = AES(key), ReferenceAES(key)
+    ct = cipher.encrypt_block(block)
+    assert ct == reference.encrypt_block(block)
+    assert cipher.decrypt_block(block) == reference.decrypt_block(block)
+    assert cipher.decrypt_block(ct) == block
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,9 +85,11 @@ def test_gf128_alpha_consistency(a):
 
 
 @settings(max_examples=50, deadline=None)
-@given(data=st.binary(max_size=300))
-def test_sha256_matches_stdlib(data):
-    assert sha256(data) == hashlib.sha256(data).digest()
+@given(key=st.binary(min_size=1, max_size=80), data=st.binary(max_size=300))
+def test_sha256_matches_stdlib(key, data):
+    """HMAC-SHA256 over precomputed pad states equals stdlib ``hmac``."""
+    mac = HmacSha256Mac(key, tag_bytes=32)
+    assert mac._full_tag(data) == hmac_stdlib.new(key, data, hashlib.sha256).digest()
 
 
 @settings(max_examples=30, deadline=None)
