@@ -7,6 +7,8 @@ checks a declared invariant set (see
 
 * :func:`repro.conformance.matrix.run_matrix` — one differential run;
 * :func:`repro.conformance.invariants.check_run` — the oracle;
+* :func:`repro.conformance.scalar.scalar_replay` — the per-event replay
+  the batched production path is checked against;
 * :func:`repro.conformance.corpus.run_corpus` — golden-corpus
   verification / regeneration;
 * :func:`repro.conformance.fuzzer.fuzz` — seeded adversarial campaign
@@ -58,6 +60,7 @@ from repro.conformance.report import (
     render_fuzz,
     render_invariant_table,
 )
+from repro.conformance.scalar import scalar_replay
 
 __all__ = [
     "CORPUS",
@@ -90,5 +93,6 @@ __all__ = [
     "render_invariant_table",
     "run_corpus",
     "run_matrix",
+    "scalar_replay",
     "shrink",
 ]

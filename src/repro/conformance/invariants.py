@@ -193,9 +193,9 @@ def _check_roundtrip(run: MatrixRun) -> List[str]:
 
 
 def _check_columnar_identity(run: MatrixRun) -> List[str]:
-    # run.results replayed through the default (columnar where
-    # eligible) path; run.object_path through the forced scalar loop.
-    # The refactor is only sound if no engine can tell them apart.
+    # run.results replayed through the batched production path;
+    # run.object_path through the per-event scalar oracle. Batching is
+    # only sound if no engine can tell them apart.
     messages = []
     for key, scalar in run.object_path.items():
         columnar = run.results.get(key)
@@ -366,8 +366,8 @@ INVARIANTS: Tuple[Invariant, ...] = (
     ),
     Invariant(
         "columnar-object-identity", True,
-        "the vectorized columnar replay path is byte-identical to the "
-        "scalar object path for every engine",
+        "the batched columnar replay is byte-identical to the "
+        "per-event scalar oracle for every engine",
         _check_columnar_identity,
     ),
     Invariant(

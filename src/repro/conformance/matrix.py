@@ -3,7 +3,8 @@
 One :class:`MatrixRun` bundles everything the invariant oracle looks
 at for a single event log: the symbolic replay results of the full
 engine matrix, the functional-crypto outcomes, and the two execution
-cross-checks (columnar vs. object replay, text-IO round-trip replay).
+cross-checks (batched replay vs. the per-event scalar oracle, text-IO
+round-trip replay).
 :func:`run_matrix` is the only way these are produced, so every caller
 — corpus verification, the fuzzer, tests — checks the same thing.
 """
@@ -21,6 +22,7 @@ from repro.conformance.functional import (
     execute_modes,
     execute_recovery_probe,
 )
+from repro.conformance.scalar import scalar_replay
 from repro.gpu.config import VOLTA, GpuConfig
 from repro.gpu.simulator import (
     MemoryEventLog,
@@ -75,10 +77,11 @@ class MatrixRun:
     functional: Dict[str, FunctionalOutcome] = field(default_factory=dict)
     #: (engine key, reloaded-log replay result) when the round-trip ran.
     roundtrip: Optional[Tuple[str, SimulationResult]] = None
-    #: Per-engine results of a forced scalar object-path replay, filled
-    #: when the columnar identity cross-check ran. ``results`` holds the
-    #: default (columnar where eligible) path, so the oracle can demand
-    #: byte-identity between the two replay implementations.
+    #: Per-engine results of the per-event scalar oracle
+    #: (:func:`repro.conformance.scalar.scalar_replay`), filled when the
+    #: columnar identity cross-check ran. ``results`` holds the batched
+    #: production replay, so the oracle can demand byte-identity
+    #: between the two.
     object_path: Dict[str, SimulationResult] = field(default_factory=dict)
     #: Crash-recovery probe outcome; ``None`` when the stage was
     #: disabled or the log has no writebacks (nothing to tear).
@@ -126,11 +129,11 @@ def run_matrix(
     )
 
     if check_columnar:
-        # Replay the whole roster a second time with the vectorized
-        # path disabled; the columnar-object-identity invariant compares
-        # the two result sets engine by engine.
+        # Replay the whole roster a second time through the scalar
+        # oracle; the columnar-object-identity invariant compares the
+        # two result sets engine by engine.
         run.object_path = {
-            key: replay_events(log, factory, config, path="object")
+            key: scalar_replay(log, factory, config)
             for key, factory in factories.items()
         }
 

@@ -13,6 +13,13 @@ Two-phase design for experiment throughput:
 
 :func:`simulate` composes both for one-shot use.
 
+Replay has one loop: a batched pass over the log's columnar snapshot
+that hands each engine same-kind runs of its partition's events.
+Profiling (interval snapshots, span detail) instruments that same pass,
+so a profile measures the code every other run executes. The per-event
+scalar driver survives only as the differential oracle in
+:mod:`repro.conformance.scalar`.
+
 Every replay here is serial and in-process. The experiments harness
 runs whole replays side by side on a process pool
 (:meth:`repro.harness.runner.ExperimentContext.prefetch`).
@@ -39,8 +46,8 @@ from repro.gpu.columnar import (
 from repro.gpu.config import GpuConfig
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter, TrafficReport
-from repro.obs.session import ObsSession
 from repro.obs.session import active as _obs_active
+from repro.obs.spans import NULL_SPAN_PROFILER
 from repro.secure.engine import EngineStats, PartitionEngine
 from repro.workloads.trace import Trace
 
@@ -48,16 +55,10 @@ __all__ = [
     "EventKind", "MemoryEvent", "MemoryEventLog", "L2Stats",
     "SimulationResult", "simulate_l2", "replay_events", "replay_matrix",
     "simulate", "EngineFactory",
-    "REPLAY_PATHS",
 ]
 
 #: Factory signature every engine exposes for the simulator.
 EngineFactory = Callable[[int, int, TrafficCounter], PartitionEngine]
-
-#: Replay execution strategies: ``auto`` picks the columnar batched
-#: path unless per-event instrumentation forces the scalar loop;
-#: ``object``/``columnar`` force one side (for differential checks).
-REPLAY_PATHS = ("auto", "columnar", "object")
 
 
 @dataclass
@@ -260,94 +261,57 @@ def _simulate_l2(trace: Trace, config: GpuConfig) -> MemoryEventLog:
     return log
 
 
-def _merge_stats(per_partition: List[EngineStats]) -> EngineStats:
-    merged = EngineStats()
-    for stats in per_partition:
-        for f in fields(EngineStats):
-            setattr(merged, f.name, getattr(merged, f.name) + getattr(stats, f.name))
-    return merged
+def _partition_blocks(
+    partition: np.ndarray, lo: int, hi: int
+) -> List[np.ndarray]:
+    """Rows ``lo..hi`` regrouped partition-major, in-partition order kept."""
+    if hi <= lo:
+        return []
+    order = np.argsort(partition[lo:hi], kind="stable") + lo
+    cuts = np.flatnonzero(np.diff(partition[order])) + 1
+    return np.split(order, cuts)
 
 
-def _columnar_serial_replay(
-    log: MemoryEventLog,
+def _replay_blocks(
+    cols: EventColumns,
+    blocks: List[np.ndarray],
     engine_for: Callable[[int], PartitionEngine],
-    engines: Dict[int, PartitionEngine],
     traffic: TrafficCounter,
-    counter_warmup_passes: int,
-    obs: "ObsSession",
-) -> str:
-    """Batched serial replay over the columnar snapshot.
+    prof,
+) -> None:
+    """Feed each partition block to its engine as same-kind runs.
 
-    Events are regrouped partition-major (in-partition order preserved),
-    then dispatched to the engines as consecutive same-kind runs via the
-    batch hooks — one ``traffic.record`` per run instead of one per
-    event. The result is byte-identical to the scalar loop: partitions
-    share no state, the traffic counter and every ``EngineStats`` field
-    are commutative integer sums, and the default batch hooks replay the
-    scalar calls in order for engines without native batching.
-
-    Returns the engine design name (``"no-traffic"`` for an empty log).
+    One ``traffic.record`` and one batch-hook call per run instead of
+    one per event; *prof* opens an ``engine.fill``/``engine.writeback``
+    span around each run (the null profiler outside span detail).
     """
-    cols = log.to_columns()
     kind = cols.kind
-    partition = cols.partition
-    blocks: List[np.ndarray] = []
-    if cols.n_events:
-        order = np.argsort(partition, kind="stable")
-        cuts = np.flatnonzero(np.diff(partition[order])) + 1
-        blocks = np.split(order, cuts)
-
-    with obs.phase("replay_warmup", trace=log.trace_name,
-                   passes=counter_warmup_passes):
-        if counter_warmup_passes:
-            for rows in blocks:
-                writebacks = rows[kind[rows] == WRITEBACK_CODE]
-                if not writebacks.size:
-                    continue
-                engine = engine_for(int(partition[writebacks[0]]))
-                # Batch-native engines take the sector column directly
-                # (and collapse the passes internally when provably
-                # order-free); the scalar fallback gets plain ints.
-                if engine.batch_native:
-                    engine.warm_counters_batch(
-                        cols.sector[writebacks], counter_warmup_passes
-                    )
-                else:
-                    engine.warm_counters_batch(
-                        cols.sector[writebacks].tolist(),
-                        counter_warmup_passes,
-                    )
-
-    with obs.phase("replay_events", trace=log.trace_name):
-        for rows in blocks:
-            engine = engine_for(int(partition[rows[0]]))
-            batch_native = engine.batch_native
-            kinds = kind[rows]
-            cuts = np.flatnonzero(np.diff(kinds)) + 1
-            bounds = [0, *cuts.tolist(), rows.size]
-            for start, end in zip(bounds, bounds[1:]):
-                run = rows[start:end]
-                count = end - start
-                if batch_native:
-                    sectors = cols.sector[run]
-                else:
-                    sectors = cols.sector[run].tolist()
-                values = cols.values_for(run)
-                if kinds[start] == FILL_CODE:
-                    traffic.record(
-                        Stream.DATA_READ, 32 * count, transactions=count
-                    )
+    for rows in blocks:
+        engine = engine_for(int(cols.partition[rows[0]]))
+        batch_native = engine.batch_native
+        kinds = kind[rows]
+        cuts = np.flatnonzero(np.diff(kinds)) + 1
+        bounds = [0, *cuts.tolist(), rows.size]
+        for start, end in zip(bounds, bounds[1:]):
+            run = rows[start:end]
+            count = end - start
+            if batch_native:
+                sectors = cols.sector[run]
+            else:
+                sectors = cols.sector[run].tolist()
+            values = cols.values_for(run)
+            if kinds[start] == FILL_CODE:
+                traffic.record(
+                    Stream.DATA_READ, 32 * count, transactions=count
+                )
+                with prof.span("engine.fill", events=count):
                     engine.on_fill_batch(sectors, values)
-                else:
-                    traffic.record(
-                        Stream.DATA_WRITE, 32 * count, transactions=count
-                    )
+            else:
+                traffic.record(
+                    Stream.DATA_WRITE, 32 * count, transactions=count
+                )
+                with prof.span("engine.writeback", events=count):
                     engine.on_writeback_batch(sectors, values)
-        engine_name = "no-traffic"
-        for engine in engines.values():
-            engine.finalize()
-            engine_name = engine.name
-    return engine_name
 
 
 def replay_events(
@@ -355,7 +319,6 @@ def replay_events(
     engine_factory: EngineFactory,
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    path: str = "auto",
 ) -> SimulationResult:
     """Run a logged event stream through one security-engine design.
 
@@ -369,25 +332,31 @@ def replay_events(
     (``None``) takes the depth recorded in the event log, which
     benchmark profiles set to match how iterative the workload is.
 
-    ``path`` selects the serial inner loop: ``"auto"`` (the default)
-    runs the columnar batched pass unless per-event instrumentation
-    (interval sampling, memory-event tracing, span detail) requires the
-    scalar loop; ``"columnar"``/``"object"`` force one side, which is
-    how the conformance invariant cross-checks them. Both produce
-    byte-identical :class:`SimulationResult`\\ s.
+    The log replays as one batched columnar pass: events are regrouped
+    partition-major (in-partition order preserved) and each partition's
+    engine receives consecutive same-kind events through its batch
+    hooks. The result equals the per-event scalar replay
+    (:func:`repro.conformance.scalar.scalar_replay`, the differential
+    oracle): partitions share no state, the traffic counter and every
+    ``EngineStats`` field are commutative integer sums, and the batch
+    hooks are exact under any run cut.
+
+    With interval sampling on, the log is cut into windows of
+    ``interval_events`` events in log order; each window replays as
+    above and is followed by a traffic/value-cache snapshot, with one
+    final snapshot after ``finalize()``. Otherwise the whole log is a
+    single window.
     """
     if counter_warmup_passes is None:
         counter_warmup_passes = log.counter_warmup_passes
     if counter_warmup_passes < 0:
         raise ValueError("warmup passes cannot be negative")
-    if path not in REPLAY_PATHS:
-        raise ValueError(
-            f"unknown replay path {path!r}; expected one of {REPLAY_PATHS}"
-        )
     obs = _obs_active()
     metrics_on = obs.config.metrics_active
     interval = obs.config.interval_events if metrics_on else 0
-    trace_mem = obs.config.tracing_active and obs.config.trace_memory_events
+    prof = (
+        obs.profiler if obs.config.span_detail_active else NULL_SPAN_PROFILER
+    )
     traffic = TrafficCounter()
     sectors_per_partition = config.sectors_per_partition
     engines: Dict[int, PartitionEngine] = {}
@@ -398,21 +367,6 @@ def replay_events(
             engine = engine_factory(partition, sectors_per_partition, traffic)
             engines[partition] = engine
         return engine
-
-    # Per-event instrumentation (interval windows, per-event trace
-    # emission, per-event spans) needs the scalar loop; everything else
-    # takes the batched columnar pass.
-    use_columnar = path != "object" and not (
-        interval or trace_mem or obs.config.span_detail_active
-    )
-    if use_columnar:
-        start = time.perf_counter() if obs.enabled else 0.0
-        engine_name = _columnar_serial_replay(
-            log, engine_for, engines, traffic, counter_warmup_passes, obs
-        )
-        return _finish_serial_replay(
-            log, obs, traffic, engines, engine_name, start
-        )
 
     snapshot = None
     total: Optional[TrafficCounter] = None
@@ -474,86 +428,64 @@ def replay_events(
                 metadata_bytes=report.metadata_bytes,
             )
 
+    cols = log.to_columns()
+    n_events = cols.n_events
+    blocks = _partition_blocks(cols.partition, 0, n_events)
+
     with obs.phase("replay_warmup", trace=log.trace_name,
                    passes=counter_warmup_passes):
-        for _ in range(counter_warmup_passes):
-            for event in log.events:
-                if event.kind is EventKind.WRITEBACK:
-                    engine_for(event.partition).warm_counters(
-                        event.sector_index
+        if counter_warmup_passes:
+            for rows in blocks:
+                writebacks = rows[cols.kind[rows] == WRITEBACK_CODE]
+                if not writebacks.size:
+                    continue
+                engine = engine_for(int(cols.partition[writebacks[0]]))
+                # Batch-native engines take the sector column directly
+                # (and collapse the passes internally when provably
+                # order-free); the scalar fallback gets plain ints.
+                if engine.batch_native:
+                    engine.warm_counters_batch(
+                        cols.sector[writebacks], counter_warmup_passes
+                    )
+                else:
+                    engine.warm_counters_batch(
+                        cols.sector[writebacks].tolist(),
+                        counter_warmup_passes,
                     )
 
-    start = time.perf_counter() if obs.enabled else 0.0
-    # Per-event spans only under span_detail: a clock pair per DRAM
-    # event is far too hot for the default profile path.
-    detail_prof = (
-        obs.profiler if obs.config.span_detail_active else None
-    )
+    start = time.perf_counter() if metrics_on else 0.0
     with obs.phase("replay_events", trace=log.trace_name):
-        position = 0
-        for event in log.events:
-            engine = engine_for(event.partition)
-            if event.kind is EventKind.FILL:
-                traffic.record(Stream.DATA_READ, 32, transactions=1)
-                if detail_prof is not None:
-                    with detail_prof.span("engine.fill"):
-                        engine.on_fill(event.sector_index, event.values)
-                else:
-                    engine.on_fill(event.sector_index, event.values)
-            else:
-                traffic.record(Stream.DATA_WRITE, 32, transactions=1)
-                if detail_prof is not None:
-                    with detail_prof.span("engine.writeback"):
-                        engine.on_writeback(event.sector_index, event.values)
-                else:
-                    engine.on_writeback(event.sector_index, event.values)
-            if trace_mem:
-                obs.tracer.emit(
-                    f"mem.{event.kind.value}",
-                    partition=event.partition,
-                    sector=event.sector_index,
-                )
-            position += 1
-            if interval and position % interval == 0:
-                snapshot(position)
+        step = interval if 0 < interval < n_events else max(n_events, 1)
+        for lo in range(0, n_events, step):
+            hi = min(lo + step, n_events)
+            if step < n_events:
+                blocks = _partition_blocks(cols.partition, lo, hi)
+            _replay_blocks(cols, blocks, engine_for, traffic, prof)
+            if snapshot is not None and hi - lo == interval:
+                snapshot(hi)
 
         engine_name = "no-traffic"
         for engine in engines.values():
             engine.finalize()
             engine_name = engine.name
-        if interval:
+        if snapshot is not None:
             # Tail events plus finalize()'s metadata drain.
-            snapshot(position)
+            snapshot(n_events)
             traffic = total
 
-    return _finish_serial_replay(
-        log, obs, traffic, engines, engine_name, start
-    )
-
-
-def _finish_serial_replay(
-    log: MemoryEventLog,
-    obs: "ObsSession",
-    traffic: TrafficCounter,
-    engines: Dict[int, PartitionEngine],
-    engine_name: str,
-    start: float,
-) -> SimulationResult:
-    """Fold engine stats, publish gauges, and package the result."""
-    merged_stats = _merge_stats([e.stats for e in engines.values()])
-    if obs.enabled:
+    merged_stats = EngineStats.merged(e.stats for e in engines.values())
+    if metrics_on:
         elapsed = time.perf_counter() - start
-        if obs.config.metrics_active:
-            registry = obs.registry
-            registry.gauge("replay.events").set(len(log.events))
-            if elapsed > 0:
-                registry.gauge("replay.events_per_sec").set(
-                    len(log.events) / elapsed
-                )
-            for f in fields(EngineStats):
-                registry.gauge(f"engine.{f.name}").set(
-                    getattr(merged_stats, f.name)
-                )
+        registry = obs.registry
+        registry.gauge("replay.events").set(n_events)
+        if elapsed > 0:
+            # Measured events over the replay_events phase only: the
+            # clock starts after replay_warmup.
+            registry.gauge("replay.events_per_sec").set(n_events / elapsed)
+        for f in fields(EngineStats):
+            registry.gauge(f"engine.{f.name}").set(
+                getattr(merged_stats, f.name)
+            )
 
     return SimulationResult(
         engine_name=engine_name,
@@ -580,7 +512,6 @@ def replay_matrix(
     factories: "Mapping[str, EngineFactory]",
     config: GpuConfig,
     counter_warmup_passes: "int | None" = None,
-    path: str = "auto",
 ) -> "Dict[str, SimulationResult]":
     """Replay one event log through a whole matrix of engine designs.
 
@@ -598,6 +529,5 @@ def replay_matrix(
             factory,
             config,
             counter_warmup_passes=counter_warmup_passes,
-            path=path,
         )
     return results

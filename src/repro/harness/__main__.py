@@ -174,13 +174,10 @@ def profile_main(argv) -> int:
         help="DRAM events between traffic snapshots (default 1024)",
     )
     parser.add_argument(
-        "--trace-events", action="store_true",
-        help="also trace every individual fill/writeback (verbose)",
-    )
-    parser.add_argument(
         "--span-detail", action="store_true",
-        help="profile per-event spans too (engine reads/writes, BMT "
-             "traversals, crypto primitives); higher overhead",
+        help="profile spans inside the replay too (batched engine "
+             "runs, counter/MAC phases, BMT traversals, crypto "
+             "primitives); higher overhead",
     )
     parser.add_argument(
         "--chrome-out", default=None, metavar="PATH",
@@ -210,7 +207,6 @@ def profile_main(argv) -> int:
             obs=ObsConfig(
                 enabled=True,
                 interval_events=args.interval,
-                trace_memory_events=args.trace_events,
                 span_detail=args.span_detail,
             ),
             metrics_out=args.metrics_out,

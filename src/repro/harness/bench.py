@@ -45,12 +45,8 @@ DEFAULT_ENGINES = ("nosec", "pssm", "common-counters", "plutus")
 DEFAULT_BENCH_LENGTH = 8000
 QUICK_BENCH_LENGTH = 2000
 
-#: Replay path measured by default: the vectorized columnar core.
-DEFAULT_BENCH_PATH = "columnar"
-
-
 class IdentityMismatchError(ReproError):
-    """``--verify-identity`` found columnar/object replay divergence."""
+    """``--verify-identity`` found batched/scalar replay divergence."""
 
 
 def _factory_batch_native(factory: object) -> bool:
@@ -105,29 +101,26 @@ def run_bench(
     length: int = DEFAULT_BENCH_LENGTH,
     seed: int = 2023,
     repeats: int = 2,
-    path: str = DEFAULT_BENCH_PATH,
     verify_identity: bool = False,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Dict[str, object]:
     """Measure replay throughput; returns one trajectory entry.
 
-    ``path`` picks the replay implementation that is measured (and
-    recorded in the entry); ``verify_identity`` additionally replays
-    every engine through *both* paths and raises
+    Entries record ``"path": "columnar"``: the batched replay is the
+    only one production runs, and the regression gate compares it
+    against the committed object-path entries. ``verify_identity``
+    additionally replays every engine through the per-event scalar
+    oracle (:func:`repro.conformance.scalar.scalar_replay`) and raises
     :class:`IdentityMismatchError` if any observable differs — the
     end-to-end gate the columnar-equivalence CI job runs.
     """
     from repro.gpu.config import VOLTA
-    from repro.gpu.simulator import REPLAY_PATHS, replay_events, simulate_l2
+    from repro.gpu.simulator import replay_events, simulate_l2
     from repro.harness.runner import engine_factories
     from repro.workloads.benchmarks import build_trace
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if path not in REPLAY_PATHS:
-        raise ValueError(
-            f"unknown replay path {path!r}; known: {REPLAY_PATHS}"
-        )
     factories = engine_factories()
     unknown = [key for key in engines if key not in factories]
     if unknown:
@@ -149,7 +142,7 @@ def run_bench(
         best = float("inf")
         for _ in range(repeats):
             start = clock()
-            replay_events(event_log, factory, VOLTA, path=path)
+            replay_events(event_log, factory, VOLTA)
             best = min(best, clock() - start)
         return best
 
@@ -157,19 +150,18 @@ def run_bench(
     for key in engines:
         factory = factories[key]
         if verify_identity:
-            scalar = replay_events(event_log, factory, VOLTA, path="object")
-            columnar = replay_events(
-                event_log, factory, VOLTA, path="columnar"
-            )
             from repro.conformance.invariants import results_equal
+            from repro.conformance.scalar import scalar_replay
 
+            scalar = scalar_replay(event_log, factory, VOLTA)
+            columnar = replay_events(event_log, factory, VOLTA)
             diffs = results_equal(columnar, scalar)
             if diffs:
                 raise IdentityMismatchError(
-                    f"{key}: columnar vs object replay differ: "
+                    f"{key}: columnar vs scalar replay differ: "
                     + "; ".join(diffs)
                 )
-            log.info("%s: columnar/object identity verified", key)
+            log.info("%s: columnar/scalar identity verified", key)
         serial_s = best_of(factory)
         row: Dict[str, object] = {
             "serial_s": round(serial_s, 6),
@@ -186,7 +178,7 @@ def run_bench(
         "seed": seed,
         "events": events,
         "repeats": repeats,
-        "path": path,
+        "path": "columnar",
         "calibration_seconds": round(calibrate(), 6),
         "env": environment_fingerprint(),
         "engines": measured,
@@ -274,15 +266,9 @@ def bench_main(argv: List[str]) -> int:
         help="CI mode: small trace, single repeat",
     )
     parser.add_argument(
-        "--path", default=DEFAULT_BENCH_PATH,
-        choices=("auto", "columnar", "object"),
-        help=f"replay implementation to measure "
-             f"(default {DEFAULT_BENCH_PATH}; recorded in the entry)",
-    )
-    parser.add_argument(
         "--verify-identity", action="store_true",
-        help="before measuring, replay every engine through both the "
-             "columnar and object paths and fail on any observable "
+        help="before measuring, replay every engine through the "
+             "per-event scalar oracle too and fail on any observable "
              "difference",
     )
     parser.add_argument(
@@ -332,7 +318,6 @@ def bench_main(argv: List[str]) -> int:
             length=length,
             seed=args.seed,
             repeats=repeats,
-            path=args.path,
             verify_identity=args.verify_identity,
         )
         if args.trajectory:

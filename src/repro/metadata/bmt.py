@@ -217,7 +217,6 @@ class BmtTraversal:
             # Identify which node(s) the dirty sectors belong to and
             # propagate dirtiness to each parent still below the root.
             cfg = self.cache.config
-            sectors = max(1, self.geometry.node_bytes // cfg.sector_bytes)
             seen_offsets = set()
             for s in range(cfg.sectors_per_line):
                 if not (ev.dirty_mask >> s) & 1:
@@ -236,7 +235,6 @@ class BmtTraversal:
                     continue  # parent is the on-chip root: updated in place
                 parent_leaf = node * (self.geometry.arity**level)
                 self._touch_node(parent_leaf, level + 1, dirty=True)
-            del sectors  # geometry bookkeeping only
 
     def _touch_node(self, leaf_index: int, level: int, dirty: bool) -> None:
         """Bring one ancestor node into the cache, optionally dirtying it."""
@@ -314,8 +312,6 @@ class BmtTraversal:
             return
         for level in range(1, self.geometry.root_level):
             self._touch_node(leaf_index, level, dirty=True)
-            addr = self.geometry.node_address(leaf_index, level)
-            line, _ = self._line_and_mask(addr)
             # Eager: the node is written through to memory immediately.
             sectors = max(1, self.geometry.node_bytes // self.cache.config.sector_bytes)
             self.traffic.record(
@@ -323,7 +319,6 @@ class BmtTraversal:
                 sectors * self.cache.config.sector_bytes,
                 transactions=sectors,
             )
-            del line
 
     def update_leaves(self, leaf_indices) -> None:
         """Lazy-update a run of leaves, coalescing shared ancestors.
@@ -338,10 +333,9 @@ class BmtTraversal:
         form: if an interleaved eviction pushed the parent out, the
         full walk runs again.
         """
-        if self._prof is not None or not self.lazy_update:
-            # Span-detail profiling wants one span per update; eager
-            # mode rewrites whole paths and gains nothing from
-            # coalescing. Both take the plain loop.
+        if not self.lazy_update:
+            # Eager mode rewrites whole paths and gains nothing from
+            # coalescing.
             for leaf_index in leaf_indices:
                 self.update_leaf(leaf_index)
             return

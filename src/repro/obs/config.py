@@ -36,16 +36,13 @@ class ObsConfig:
     #: compact by merging adjacent points, so a series always spans the
     #: whole run at bounded memory.
     sampler_window: int = 512
-    #: Also trace every individual fill/writeback event (very verbose;
-    #: bounded by the ring buffer).
-    trace_memory_events: bool = False
     #: Collect hierarchical profiler spans at pipeline-phase granularity
     #: (requires ``enabled``).
     spans: bool = True
-    #: Also open per-operation spans on the hot paths — engine
-    #: counter/MAC reads, BMT traversals, crypto primitives, individual
-    #: replay events. Expensive (a clock pair per operation); off by
-    #: default even in profile runs.
+    #: Also open spans inside the replay pass — one per batched engine
+    #: run and per metadata phase (counter/MAC read and write), plus
+    #: BMT traversals and crypto primitives. Expensive (a clock pair per
+    #: operation); off by default even in profile runs.
     span_detail: bool = False
     #: Raw per-call span records retained for the Chrome trace export;
     #: aggregates are unaffected by this bound.

@@ -25,14 +25,15 @@ specialize the read/write flows.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass
-from typing import Dict, List, Optional
+from dataclasses import astuple, dataclass, fields
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter
 from repro.obs.session import active as _obs_active
+from repro.obs.spans import NULL_SPAN_PROFILER
 from repro.metadata.bmt import BmtTraversal
 from repro.metadata.layout import GranularityDesign, MetadataLayout
 from repro.metadata.split_counter import SplitCounterConfig, SplitCounterStore
@@ -58,6 +59,16 @@ class EngineStats:
     minor_overflows: int = 0
     reencrypted_sectors: int = 0
     wal_appends: int = 0
+
+    @classmethod
+    def merged(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
+        """Field-wise sum of per-partition stats."""
+        total = cls()
+        for stats in parts:
+            for f in fields(cls):
+                setattr(total, f.name,
+                        getattr(total, f.name) + getattr(stats, f.name))
+        return total
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,15 @@ class PartitionEngine:
         self.traffic = traffic
         self.stats = EngineStats()
         #: Observability session captured at construction (disabled
-        #: singleton by default); subclasses emit tracer events and the
-        #: replay loop polls :meth:`obs_snapshot` through it.
+        #: singleton by default); subclasses emit tracer events through
+        #: it. The replay's interval snapshots, taken between batched
+        #: windows, poll :meth:`obs_snapshot` separately.
         self.obs = _obs_active()
-        #: Span profiler for per-operation hot-path spans, or None
-        #: unless ``span_detail`` profiling is on — the metadata paths
-        #: guard on this single attribute.
+        #: Span profiler for the batched metadata phases: the session's
+        #: under ``span_detail`` profiling, the no-op twin otherwise.
         self._prof = (
             self.obs.profiler
-            if self.obs.config.span_detail_active else None
+            if self.obs.config.span_detail_active else NULL_SPAN_PROFILER
         )
 
     #: True when the engine overrides the batch hooks with a genuinely
@@ -171,7 +182,7 @@ class PartitionEngine:
     def obs_snapshot(self) -> Dict[str, int]:
         """Cumulative observability quantities for interval sampling.
 
-        The replay loop polls this at each snapshot interval and records
+        The replay polls this after each interval window and records
         *deltas* into time-series samplers (e.g. value-cache hit rate
         over trace position). Keys are design-specific; absent keys read
         as zero. Only called when observability is enabled.
@@ -302,20 +313,9 @@ class MetadataEngine(PartitionEngine):
             )
 
     # -- counter path ----------------------------------------------------------
-    #
-    # The public counter/MAC methods are span-instrumented template
-    # methods; designs that specialize a path override the ``_``-prefixed
-    # implementation so detail profiling covers every engine uniformly.
 
     def counter_read(self, sector_index: int) -> None:
         """Bring the sector's encryption counter on-chip, verified."""
-        if self._prof is None:
-            self._counter_read(sector_index)
-        else:
-            with self._prof.span("engine.counter_read"):
-                self._counter_read(sector_index)
-
-    def _counter_read(self, sector_index: int) -> None:
         line, mask = self.layout.counter_location(sector_index)
         result = self.counter_cache.access(line, mask, write=False)
         if result.miss_mask:
@@ -330,13 +330,6 @@ class MetadataEngine(PartitionEngine):
 
     def counter_write(self, sector_index: int) -> None:
         """Advance the sector's counter for a writeback (dirty in cache)."""
-        if self._prof is None:
-            self._counter_write(sector_index)
-        else:
-            with self._prof.span("engine.counter_write"):
-                self._counter_write(sector_index)
-
-    def _counter_write(self, sector_index: int) -> None:
         outcome = self.counters.increment(sector_index)
         if outcome.minor_overflowed:
             self._on_minor_overflow(outcome)
@@ -384,13 +377,6 @@ class MetadataEngine(PartitionEngine):
 
     def mac_read(self, sector_index: int) -> None:
         """Fetch the sector's MAC for conventional verification."""
-        if self._prof is None:
-            self._mac_read(sector_index)
-        else:
-            with self._prof.span("engine.mac_read"):
-                self._mac_read(sector_index)
-
-    def _mac_read(self, sector_index: int) -> None:
         line, mask = self.layout.mac_location(sector_index)
         result = self.mac_cache.access(line, mask, write=False)
         if result.miss_mask:
@@ -404,13 +390,6 @@ class MetadataEngine(PartitionEngine):
 
     def mac_write(self, sector_index: int) -> None:
         """Install a freshly computed MAC (read-modify-write on miss)."""
-        if self._prof is None:
-            self._mac_write(sector_index)
-        else:
-            with self._prof.span("engine.mac_write"):
-                self._mac_write(sector_index)
-
-    def _mac_write(self, sector_index: int) -> None:
         line, mask = self.layout.mac_location(sector_index)
         result = self.mac_cache.access(line, mask, write=True)
         if result.miss_mask:
@@ -467,34 +446,35 @@ class MetadataEngine(PartitionEngine):
         """Counter-read phase of a batched fill run."""
         if sectors.size == 0:
             return
-        lines, masks = self.layout.counter_locations(sectors)
-        leaves = self.layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
-        access_run = self.counter_cache.access_run_raw
-        drain = self._drain_counter_evictions
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], False, bounds[j + 1] - a
-            )
-            if miss_mask:
-                fetches += 1
-                miss_sectors += miss_count
-                self._verify_counter_tree(leaves_l[a])
-            if evictions:
-                drain(evictions)
-        if fetches:
-            self.stats.counter_fetches += fetches
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                miss_sectors * self.layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+        with self._prof.span("engine.counter_read", events=int(sectors.size)):
+            lines, masks = self.layout.counter_locations(sectors)
+            leaves = self.layout.bmt_leaf_indices(sectors)
+            bounds = self._run_bounds(lines, masks)
+            lines_l = lines.tolist()
+            masks_l = masks.tolist()
+            leaves_l = leaves.tolist()
+            access_run = self.counter_cache.access_run_raw
+            drain = self._drain_counter_evictions
+            fetches = 0
+            miss_sectors = 0
+            for j in range(len(bounds) - 1):
+                a = bounds[j]
+                miss_mask, miss_count, evictions = access_run(
+                    lines_l[a], masks_l[a], False, bounds[j + 1] - a
+                )
+                if miss_mask:
+                    fetches += 1
+                    miss_sectors += miss_count
+                    self._verify_counter_tree(leaves_l[a])
+                if evictions:
+                    drain(evictions)
+            if fetches:
+                self.stats.counter_fetches += fetches
+                self.traffic.record(
+                    Stream.COUNTER_READ,
+                    miss_sectors * self.layout.sector_bytes,
+                    transactions=miss_sectors,
+                )
 
     def _batch_counter_writes(self, sectors: np.ndarray) -> None:
         """Counter-write phase of a batched writeback run.
@@ -506,71 +486,73 @@ class MetadataEngine(PartitionEngine):
         """
         if sectors.size == 0:
             return
-        lines, masks = self.layout.counter_locations(sectors)
-        leaves = self.layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        sec_l = sectors.tolist()
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
-        access_run = self.counter_cache.access_run_raw
-        drain = self._drain_counter_evictions
-        increment = self.counters.increment_fast
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            b = bounds[j + 1]
-            for s in sec_l[a:b]:
-                affected = increment(s)
-                if affected is not None:
-                    self._reencrypt_group(affected)
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], True, b - a
-            )
-            if miss_mask:
-                fetches += 1
-                miss_sectors += miss_count
-                self._verify_counter_tree(leaves_l[a])
-            if evictions:
-                drain(evictions)
-        if fetches:
-            self.stats.counter_fetches += fetches
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                miss_sectors * self.layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+        with self._prof.span("engine.counter_write", events=int(sectors.size)):
+            lines, masks = self.layout.counter_locations(sectors)
+            leaves = self.layout.bmt_leaf_indices(sectors)
+            bounds = self._run_bounds(lines, masks)
+            sec_l = sectors.tolist()
+            lines_l = lines.tolist()
+            masks_l = masks.tolist()
+            leaves_l = leaves.tolist()
+            access_run = self.counter_cache.access_run_raw
+            drain = self._drain_counter_evictions
+            increment = self.counters.increment_fast
+            fetches = 0
+            miss_sectors = 0
+            for j in range(len(bounds) - 1):
+                a = bounds[j]
+                b = bounds[j + 1]
+                for s in sec_l[a:b]:
+                    affected = increment(s)
+                    if affected is not None:
+                        self._reencrypt_group(affected)
+                miss_mask, miss_count, evictions = access_run(
+                    lines_l[a], masks_l[a], True, b - a
+                )
+                if miss_mask:
+                    fetches += 1
+                    miss_sectors += miss_count
+                    self._verify_counter_tree(leaves_l[a])
+                if evictions:
+                    drain(evictions)
+            if fetches:
+                self.stats.counter_fetches += fetches
+                self.traffic.record(
+                    Stream.COUNTER_READ,
+                    miss_sectors * self.layout.sector_bytes,
+                    transactions=miss_sectors,
+                )
 
     def _batch_mac_reads(self, sectors: np.ndarray) -> None:
         """MAC-read phase of a batched fill run."""
         if sectors.size == 0:
             return
-        lines, masks = self.layout.mac_locations(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        access_run = self.mac_cache.access_run_raw
-        drain = self._drain_mac_evictions
-        fetches = 0
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], False, bounds[j + 1] - a
-            )
-            if miss_mask:
-                fetches += 1
-                miss_sectors += miss_count
-            if evictions:
-                drain(evictions)
-        if fetches:
-            self.stats.mac_fetches += fetches
-            self.traffic.record(
-                Stream.MAC_READ,
-                miss_sectors * self.layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+        with self._prof.span("engine.mac_read", events=int(sectors.size)):
+            lines, masks = self.layout.mac_locations(sectors)
+            bounds = self._run_bounds(lines, masks)
+            lines_l = lines.tolist()
+            masks_l = masks.tolist()
+            access_run = self.mac_cache.access_run_raw
+            drain = self._drain_mac_evictions
+            fetches = 0
+            miss_sectors = 0
+            for j in range(len(bounds) - 1):
+                a = bounds[j]
+                miss_mask, miss_count, evictions = access_run(
+                    lines_l[a], masks_l[a], False, bounds[j + 1] - a
+                )
+                if miss_mask:
+                    fetches += 1
+                    miss_sectors += miss_count
+                if evictions:
+                    drain(evictions)
+            if fetches:
+                self.stats.mac_fetches += fetches
+                self.traffic.record(
+                    Stream.MAC_READ,
+                    miss_sectors * self.layout.sector_bytes,
+                    transactions=miss_sectors,
+                )
 
     def _batch_mac_writes(self, sectors: np.ndarray) -> None:
         """MAC-write phase of a batched writeback run.
@@ -580,28 +562,29 @@ class MetadataEngine(PartitionEngine):
         """
         if sectors.size == 0:
             return
-        lines, masks = self.layout.mac_locations(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        access_run = self.mac_cache.access_run_raw
-        drain = self._drain_mac_evictions
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], True, bounds[j + 1] - a
-            )
-            if miss_mask:
-                miss_sectors += miss_count
-            if evictions:
-                drain(evictions)
-        if miss_sectors:
-            self.traffic.record(
-                Stream.MAC_READ,
-                miss_sectors * self.layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+        with self._prof.span("engine.mac_write", events=int(sectors.size)):
+            lines, masks = self.layout.mac_locations(sectors)
+            bounds = self._run_bounds(lines, masks)
+            lines_l = lines.tolist()
+            masks_l = masks.tolist()
+            access_run = self.mac_cache.access_run_raw
+            drain = self._drain_mac_evictions
+            miss_sectors = 0
+            for j in range(len(bounds) - 1):
+                a = bounds[j]
+                miss_mask, miss_count, evictions = access_run(
+                    lines_l[a], masks_l[a], True, bounds[j + 1] - a
+                )
+                if miss_mask:
+                    miss_sectors += miss_count
+                if evictions:
+                    drain(evictions)
+            if miss_sectors:
+                self.traffic.record(
+                    Stream.MAC_READ,
+                    miss_sectors * self.layout.sector_bytes,
+                    transactions=miss_sectors,
+                )
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         """Vectorized counter warmup.

@@ -117,10 +117,8 @@ class PlutusEngine(MetadataEngine):
             traversal.update_leaf(leaf)
 
     # MetadataEngine's counter paths call self.bmt directly; override the
-    # drain hook and read path to honor the gate. The public
-    # counter_read/counter_write stay MetadataEngine's span-instrumented
-    # template methods.
-    def _counter_read(self, sector_index: int) -> None:
+    # drain hook and both counter paths to honor the gate.
+    def counter_read(self, sector_index: int) -> None:
         """Original-layer counter fetch, honoring the tree gate."""
         line, mask = self.layout.counter_location(sector_index)
         result = self.counter_cache.access(line, mask, write=False)
@@ -134,7 +132,7 @@ class PlutusEngine(MetadataEngine):
             self._verify_tree(self.bmt, self.layout.bmt_leaf_index(sector_index))
         self._drain_counter_evictions(result.evictions)
 
-    def _counter_write(self, sector_index: int) -> None:
+    def counter_write(self, sector_index: int) -> None:
         """Original-layer counter bump, honoring the tree gate."""
         outcome = self.counters.increment(sector_index)
         if outcome.minor_overflowed:
@@ -399,32 +397,34 @@ class PlutusEngine(MetadataEngine):
         """Compact-layer phase of a batched run (fetch + verify on miss)."""
         if sectors.size == 0:
             return
-        layout = self.compact_layout
-        lines, masks = layout.counter_locations(sectors)
-        leaves = layout.bmt_leaf_indices(sectors)
-        bounds = self._run_bounds(lines, masks)
-        lines_l = lines.tolist()
-        masks_l = masks.tolist()
-        leaves_l = leaves.tolist()
-        access_run = self.compact_cache.access_run_raw
-        drain = self._drain_compact_evictions
-        miss_sectors = 0
-        for j in range(len(bounds) - 1):
-            a = bounds[j]
-            miss_mask, miss_count, evictions = access_run(
-                lines_l[a], masks_l[a], write, bounds[j + 1] - a
-            )
-            if miss_mask:
-                miss_sectors += miss_count
-                self._verify_tree(self.compact_bmt, leaves_l[a])
-            if evictions:
-                drain(evictions)
-        if miss_sectors:
-            self.traffic.record(
-                Stream.COMPACT_COUNTER_READ,
-                miss_sectors * layout.sector_bytes,
-                transactions=miss_sectors,
-            )
+        span = "engine.counter_write" if write else "engine.counter_read"
+        with self._prof.span(span, events=int(sectors.size)):
+            layout = self.compact_layout
+            lines, masks = layout.counter_locations(sectors)
+            leaves = layout.bmt_leaf_indices(sectors)
+            bounds = self._run_bounds(lines, masks)
+            lines_l = lines.tolist()
+            masks_l = masks.tolist()
+            leaves_l = leaves.tolist()
+            access_run = self.compact_cache.access_run_raw
+            drain = self._drain_compact_evictions
+            miss_sectors = 0
+            for j in range(len(bounds) - 1):
+                a = bounds[j]
+                miss_mask, miss_count, evictions = access_run(
+                    lines_l[a], masks_l[a], write, bounds[j + 1] - a
+                )
+                if miss_mask:
+                    miss_sectors += miss_count
+                    self._verify_tree(self.compact_bmt, leaves_l[a])
+                if evictions:
+                    drain(evictions)
+            if miss_sectors:
+                self.traffic.record(
+                    Stream.COMPACT_COUNTER_READ,
+                    miss_sectors * layout.sector_bytes,
+                    transactions=miss_sectors,
+                )
 
     def _batch_counter_write_flow(self, sectors: np.ndarray) -> None:
         """Batched mirror-hierarchy counter increments (write path).
@@ -439,128 +439,129 @@ class PlutusEngine(MetadataEngine):
         """
         if sectors.size == 0:
             return
-        o_lines, o_masks = self.layout.counter_locations(sectors)
-        o_leaves = self.layout.bmt_leaf_indices(sectors)
-        c_lines, c_masks = self.compact_layout.counter_locations(sectors)
-        c_leaves = self.compact_layout.bmt_leaf_indices(sectors)
-        sec_l = sectors.tolist()
-        o_lines_l = o_lines.tolist()
-        o_masks_l = o_masks.tolist()
-        o_leaves_l = o_leaves.tolist()
-        c_lines_l = c_lines.tolist()
-        c_masks_l = c_masks.tolist()
-        c_leaves_l = c_leaves.tolist()
+        with self._prof.span("engine.counter_write", events=int(sectors.size)):
+            o_lines, o_masks = self.layout.counter_locations(sectors)
+            o_leaves = self.layout.bmt_leaf_indices(sectors)
+            c_lines, c_masks = self.compact_layout.counter_locations(sectors)
+            c_leaves = self.compact_layout.bmt_leaf_indices(sectors)
+            sec_l = sectors.tolist()
+            o_lines_l = o_lines.tolist()
+            o_masks_l = o_masks.tolist()
+            o_leaves_l = o_leaves.tolist()
+            c_lines_l = c_lines.tolist()
+            c_masks_l = c_masks.tolist()
+            c_leaves_l = c_leaves.tolist()
 
-        plan_write = self.compact.plan_write_code
-        increment = self.counters.increment_fast
-        c_access_run = self.compact_cache.access_run_raw
-        o_access_run = self.counter_cache.access_run_raw
+            plan_write = self.compact.plan_write_code
+            increment = self.counters.increment_fast
+            c_access_run = self.compact_cache.access_run_raw
+            o_access_run = self.counter_cache.access_run_raw
 
-        compact_only = double = original_only = 0
-        o_fetches = o_miss = c_miss = 0
-        cp = op = -1  # start index of each layer's pending run
-        cp_count = op_count = 0
+            compact_only = double = original_only = 0
+            o_fetches = o_miss = c_miss = 0
+            cp = op = -1  # start index of each layer's pending run
+            cp_count = op_count = 0
 
-        def flush_compact() -> None:
-            nonlocal cp, cp_count, c_miss
-            miss_mask, miss_count, evictions = c_access_run(
-                c_lines_l[cp], c_masks_l[cp], True, cp_count
-            )
-            if miss_mask:
-                c_miss += miss_count
-                self._verify_tree(self.compact_bmt, c_leaves_l[cp])
-            if evictions:
-                self._drain_compact_evictions(evictions)
-            cp = -1
-            cp_count = 0
+            def flush_compact() -> None:
+                nonlocal cp, cp_count, c_miss
+                miss_mask, miss_count, evictions = c_access_run(
+                    c_lines_l[cp], c_masks_l[cp], True, cp_count
+                )
+                if miss_mask:
+                    c_miss += miss_count
+                    self._verify_tree(self.compact_bmt, c_leaves_l[cp])
+                if evictions:
+                    self._drain_compact_evictions(evictions)
+                cp = -1
+                cp_count = 0
 
-        def flush_original() -> None:
-            nonlocal op, op_count, o_fetches, o_miss
-            miss_mask, miss_count, evictions = o_access_run(
-                o_lines_l[op], o_masks_l[op], True, op_count
-            )
-            if miss_mask:
-                o_fetches += 1
-                o_miss += miss_count
-                self._verify_tree(self.bmt, o_leaves_l[op])
-            if evictions:
-                self._drain_counter_evictions(evictions)
-            op = -1
-            op_count = 0
+            def flush_original() -> None:
+                nonlocal op, op_count, o_fetches, o_miss
+                miss_mask, miss_count, evictions = o_access_run(
+                    o_lines_l[op], o_masks_l[op], True, op_count
+                )
+                if miss_mask:
+                    o_fetches += 1
+                    o_miss += miss_count
+                    self._verify_tree(self.bmt, o_leaves_l[op])
+                if evictions:
+                    self._drain_counter_evictions(evictions)
+                op = -1
+                op_count = 0
 
-        for i, s in enumerate(sec_l):
-            code = plan_write(s)
-            route = code & 7
-            if route != 2:
-                if (
-                    cp >= 0
-                    and c_lines_l[cp] == c_lines_l[i]
-                    and c_masks_l[cp] == c_masks_l[i]
-                ):
-                    cp_count += 1
+            for i, s in enumerate(sec_l):
+                code = plan_write(s)
+                route = code & 7
+                if route != 2:
+                    if (
+                        cp >= 0
+                        and c_lines_l[cp] == c_lines_l[i]
+                        and c_masks_l[cp] == c_masks_l[i]
+                    ):
+                        cp_count += 1
+                    else:
+                        if cp >= 0:
+                            flush_compact()
+                        cp = i
+                        cp_count = 1
+                    if route == 0:
+                        compact_only += 1
+                    else:
+                        double += 1
                 else:
-                    if cp >= 0:
-                        flush_compact()
-                    cp = i
-                    cp_count = 1
-                if route == 0:
-                    compact_only += 1
-                else:
-                    double += 1
-            else:
-                original_only += 1
-            if route != 0:
-                affected = increment(s)
-                if affected is not None:
-                    self._reencrypt_group(affected)
-                    self.compact.force_original(affected)
-                if (
-                    op >= 0
-                    and o_lines_l[op] == o_lines_l[i]
-                    and o_masks_l[op] == o_masks_l[i]
-                ):
-                    op_count += 1
-                else:
+                    original_only += 1
+                if route != 0:
+                    affected = increment(s)
+                    if affected is not None:
+                        self._reencrypt_group(affected)
+                        self.compact.force_original(affected)
+                    if (
+                        op >= 0
+                        and o_lines_l[op] == o_lines_l[i]
+                        and o_masks_l[op] == o_masks_l[i]
+                    ):
+                        op_count += 1
+                    else:
+                        if op >= 0:
+                            flush_original()
+                        op = i
+                        op_count = 1
+                if code & 8:
+                    self.stats.compact_disable_events += 1
+                    if self.obs.enabled:
+                        self.obs.tracer.emit(
+                            "compact.disable",
+                            partition=self.partition_id,
+                            block=self.compact.block_of(s),
+                            sector=s,
+                        )
+                    # The sync write-touches the original counter cache, so
+                    # the pending original run must land first (and the next
+                    # one starts fresh — the sync may evict its line).
                     if op >= 0:
                         flush_original()
-                    op = i
-                    op_count = 1
-            if code & 8:
-                self.stats.compact_disable_events += 1
-                if self.obs.enabled:
-                    self.obs.tracer.emit(
-                        "compact.disable",
-                        partition=self.partition_id,
-                        block=self.compact.block_of(s),
-                        sector=s,
-                    )
-                # The sync write-touches the original counter cache, so
-                # the pending original run must land first (and the next
-                # one starts fresh — the sync may evict its line).
-                if op >= 0:
-                    flush_original()
-                self._sync_block_to_original(s)
-        if cp >= 0:
-            flush_compact()
-        if op >= 0:
-            flush_original()
+                    self._sync_block_to_original(s)
+            if cp >= 0:
+                flush_compact()
+            if op >= 0:
+                flush_original()
 
-        self.stats.compact_only_accesses += compact_only
-        self.stats.compact_double_accesses += double
-        self.stats.original_only_accesses += original_only
-        if c_miss:
-            self.traffic.record(
-                Stream.COMPACT_COUNTER_READ,
-                c_miss * self.compact_layout.sector_bytes,
-                transactions=c_miss,
-            )
-        if o_fetches:
-            self.stats.counter_fetches += o_fetches
-            self.traffic.record(
-                Stream.COUNTER_READ,
-                o_miss * self.layout.sector_bytes,
-                transactions=o_miss,
-            )
+            self.stats.compact_only_accesses += compact_only
+            self.stats.compact_double_accesses += double
+            self.stats.original_only_accesses += original_only
+            if c_miss:
+                self.traffic.record(
+                    Stream.COMPACT_COUNTER_READ,
+                    c_miss * self.compact_layout.sector_bytes,
+                    transactions=c_miss,
+                )
+            if o_fetches:
+                self.stats.counter_fetches += o_fetches
+                self.traffic.record(
+                    Stream.COUNTER_READ,
+                    o_miss * self.layout.sector_bytes,
+                    transactions=o_miss,
+                )
 
     def on_fill_batch(self, sector_indices, values) -> None:
         sectors = np.asarray(sector_indices, dtype=np.int64)

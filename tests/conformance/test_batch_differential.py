@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.conformance.fuzzer import generate_log, rebuild_log, shrink
 from repro.conformance.invariants import results_equal
+from repro.conformance.scalar import scalar_replay
 from repro.gpu.columnar import EventKind
 from repro.gpu.config import VOLTA
 from repro.gpu.simulator import replay_events
@@ -298,9 +299,9 @@ class TestDoctoredImplementationsAreCaught:
 
         log = _small_log()
         factory = _FACTORIES["pssm"]
-        scalar = replay_events(log, factory, VOLTA, path="object")
+        scalar = scalar_replay(log, factory, VOLTA)
         monkeypatch.setattr(PssmEngine, "on_fill_batch", doctored)
-        columnar = replay_events(log, factory, VOLTA, path="columnar")
+        columnar = replay_events(log, factory, VOLTA)
         # The columnar-object-identity invariant is results_equal over
         # exactly this pair; it must name the diverging surface.
         messages = results_equal(scalar, columnar)

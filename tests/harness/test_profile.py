@@ -104,6 +104,22 @@ class TestProfileArtifacts:
         )
 
 
+class TestSpanDetail:
+    def test_spans_follow_the_batched_replay(self):
+        profile = run_profile(
+            "bfs",
+            "plutus",
+            length=800,
+            obs=ObsConfig(enabled=True, span_detail=True),
+            cache_dir="",
+        )
+        stats = profile.session.profiler.stats()
+        fill_calls = stats[("replay_events", "engine.fill")].calls
+        # One engine.fill span per same-kind run, not per fill event.
+        assert 0 < fill_calls < profile.result.engine_stats.fills
+        assert ("replay_events", "engine.fill", "engine.counter_read") in stats
+
+
 class TestDisabledModeUnchanged:
     def test_results_identical_with_and_without_obs(self, bfs_log):
         factory = lambda p, s, t: PlutusEngine(p, s, t)
