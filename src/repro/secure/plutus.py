@@ -608,16 +608,17 @@ class PlutusEngine(MetadataEngine):
         vc = self.value_cache
         mac_rows = np.zeros(n, dtype=bool)
         verified = failures = 0
-        for i, keys in enumerate(keys_list):
-            if keys is None:
-                mac_rows[i] = True
-                continue
-            if vc.verify_keys(keys):
-                verified += 1
-            else:
-                failures += 1
-                mac_rows[i] = True
-            vc.observe_keys(keys)
+        with self._prof.span("engine.value", events=n):
+            for i, keys in enumerate(keys_list):
+                if keys is None:
+                    mac_rows[i] = True
+                    continue
+                if vc.verify_keys(keys):
+                    verified += 1
+                else:
+                    failures += 1
+                    mac_rows[i] = True
+                vc.observe_keys(keys)
         self.stats.value_verified_fills += verified
         self.stats.mac_fetches_avoided += verified
         self.stats.value_check_failures += failures
@@ -644,15 +645,16 @@ class PlutusEngine(MetadataEngine):
         vc = self.value_cache
         mac_rows = np.zeros(n, dtype=bool)
         avoided = 0
-        for i, keys in enumerate(keys_list):
-            if keys is None:
-                mac_rows[i] = True
-                continue
-            vc.observe_keys(keys)
-            if vc.write_verifiable_keys(keys):
-                avoided += 1
-            else:
-                mac_rows[i] = True
+        with self._prof.span("engine.value", events=n):
+            for i, keys in enumerate(keys_list):
+                if keys is None:
+                    mac_rows[i] = True
+                    continue
+                vc.observe_keys(keys)
+                if vc.write_verifiable_keys(keys):
+                    avoided += 1
+                else:
+                    mac_rows[i] = True
         self.stats.mac_writes_avoided += avoided
         if mac_rows.any():
             self._batch_mac_writes(sectors[mac_rows])

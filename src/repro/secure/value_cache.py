@@ -48,7 +48,8 @@ class ValueCacheConfig:
             raise ConfigurationError("pinned fraction must be in [0, 1)")
         if not 0 < self.hits_required <= self.values_per_unit:
             raise ConfigurationError("hits_required outside unit size")
-        if self.pin_threshold >= (1 << self.freq_bits) + 1:
+        if self.pin_threshold > (1 << self.freq_bits) - 1:
+            # probe() saturates the counter there: higher never pins.
             raise ConfigurationError("pin threshold exceeds frequency counter")
 
     @property
@@ -116,6 +117,9 @@ class ValueCache:
         self._transient: "OrderedDict[int, int]" = OrderedDict()
         #: Pinned region: masked value -> frequency (never evicted).
         self._pinned: Dict[int, int] = {}
+        #: Region sizes, fixed by the frozen config; read on every call.
+        self._pinned_capacity = config.pinned_capacity
+        self._transient_capacity = config.transient_capacity
 
     def _key(self, value: int) -> int:
         return mask_low_bits(value & ((1 << self.config.value_bits) - 1),
@@ -144,7 +148,7 @@ class ValueCache:
             self._transient.move_to_end(key)
             if (
                 freq >= self.config.pin_threshold
-                and len(self._pinned) < self.config.pinned_capacity
+                and len(self._pinned) < self._pinned_capacity
             ):
                 self._pinned[key] = self._transient.pop(key)
                 self.stats.promotions += 1
@@ -159,7 +163,7 @@ class ValueCache:
         if key in self._transient:
             self._transient.move_to_end(key)
             return
-        if len(self._transient) >= self.config.transient_capacity:
+        if len(self._transient) >= self._transient_capacity:
             self._transient.popitem(last=False)
         self._transient[key] = 1
 
@@ -261,7 +265,7 @@ class ValueCache:
         transient = self._transient
         freq_cap = (1 << cfg.freq_bits) - 1
         pin_at = cfg.pin_threshold
-        pin_cap = cfg.pinned_capacity
+        pin_cap = self._pinned_capacity
         need = cfg.hits_required
         probes = hits_total = pinned_total = promotions = 0
         passed = True
@@ -299,7 +303,7 @@ class ValueCache:
         """:meth:`observe_many` over pre-masked keys."""
         pinned = self._pinned
         transient = self._transient
-        cap = self.config.transient_capacity
+        cap = self._transient_capacity
         for key in keys:
             if key in pinned:
                 continue

@@ -28,7 +28,6 @@ from repro.workloads.traceio import (
 from repro.workloads.values import (
     ValueModel,
     ValueModelConfig,
-    ValueReuseStudy,
     study_trace_values,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "TraceStats",
     "ValueModel",
     "ValueModelConfig",
-    "ValueReuseStudy",
     "benchmark_names",
     "build_all_traces",
     "build_trace",

@@ -4,22 +4,23 @@ GPU kernels exhibit strong *value locality*: zero-initialized buffers,
 repeated graph weights, saturated activations, near-identical floats.
 :class:`ValueModel` synthesizes 32-byte sector images with controllable
 locality so that workload profiles can be calibrated against the
-paper's measured reuse levels (Fig. 9). :class:`ValueReuseStudy`
-re-implements the paper's three measurement scenarios over any trace,
-which is both the Fig. 9 reproduction and the calibration instrument.
+paper's measured reuse levels (Fig. 9). :func:`study_trace_values`
+runs the paper's three measurement scenarios over any trace in one
+pass with two LRU recency maps, which is both the Fig. 9 reproduction
+and the calibration instrument.
 """
 
 from __future__ import annotations
 
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.common.bitops import split_values
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
-from repro.secure.value_cache import ValueCache, ValueCacheConfig
 
 #: Values over-represented in real GPU memory regardless of workload.
 _UBIQUITOUS_VALUES = np.array(
@@ -117,78 +118,68 @@ class ValueModel:
         return self.sector_images(1)[0]
 
 
-class ValueReuseStudy:
-    """Paper Fig. 8/9: three ways of counting sector-level value reuse.
-
-    A 2 kB study cache (512 x 32-bit values, the paper's per-partition
-    analysis configuration) observes every accessed sector. A sector
-    counts as *reused* under:
-
-    * ``full`` — all eight 32-bit values hit;
-    * ``halves`` — each 16-byte half has >= 3 of its 4 values hit;
-    * ``masked`` — as ``halves`` with the 4 LSBs of every value masked.
-    """
-
-    SCENARIOS = ("full", "halves", "masked")
-
-    def __init__(self, cache_entries: int = 512) -> None:
-        def make_cache(mask_bits: int) -> ValueCache:
-            return ValueCache(
-                ValueCacheConfig(
-                    entries=cache_entries,
-                    mask_bits=mask_bits,
-                    pinned_fraction=0.0,
-                    hits_required=3,
-                )
-            )
-
-        self._caches: Dict[str, ValueCache] = {
-            "full": make_cache(0),
-            "halves": make_cache(0),
-            "masked": make_cache(4),
-        }
-        self.sectors_seen = 0
-        self.reused: Dict[str, int] = {s: 0 for s in self.SCENARIOS}
-
-    def observe_sector(self, image: bytes, is_read: bool = True) -> None:
-        """Process one sector access exactly as the paper's study does:
-        reads are checked for reuse before insertion; all accesses insert."""
-        values = split_values(image, 4)
-        self.sectors_seen += 1 if is_read else 0
-        for scenario, cache in self._caches.items():
-            if is_read:
-                if self._check(scenario, cache, values):
-                    self.reused[scenario] += 1
-            cache.observe_many(values)
-
-    @staticmethod
-    def _check(scenario: str, cache: ValueCache, values: Sequence[int]) -> bool:
-        if scenario == "full":
-            hits = sum(1 for v in values if cache.probe(v)[0])
-            return hits == len(values)
-        for half in (values[:4], values[4:]):
-            hits = sum(1 for v in half if cache.probe(v)[0])
-            if hits < 3:
-                return False
-        return True
-
-    def reuse_fraction(self, scenario: str) -> float:
-        if scenario not in self.reused:
-            raise KeyError(f"unknown scenario {scenario!r}")
-        if self.sectors_seen == 0:
-            return 0.0
-        return self.reused[scenario] / self.sectors_seen
-
-    def report(self) -> Dict[str, float]:
-        return {s: self.reuse_fraction(s) for s in self.SCENARIOS}
+_SECTOR_WORDS = struct.Struct("<8I")
 
 
 def study_trace_values(trace, cache_entries: int = 512) -> Dict[str, float]:
-    """Run the three-scenario reuse study over a trace's sector images."""
-    study = ValueReuseStudy(cache_entries=cache_entries)
+    """Paper Fig. 8/9: the fraction of read sectors whose values recur.
+
+    A 2 kB study cache (512 x 32-bit values, the paper's per-partition
+    analysis configuration) observes every sector image of *trace*;
+    reads are checked before the sector's values are inserted. A read
+    counts as reused under ``full`` (all eight values hit), ``halves``
+    (each 16-byte half has >= 3 of its 4 values hit) and ``masked``
+    (``halves`` with the 4 LSBs of every value masked).
+
+    Nothing is pinned, so the cache is a plain LRU and one pass over two
+    recency maps is exact: ``exact`` (whole values) serves ``full`` and
+    ``halves``, ``near`` (masked values) serves ``masked``. A probe hit
+    only reorders a key the sector's own inserts touch again anyway.
+    """
+    if cache_entries <= 0:
+        raise ConfigurationError("value cache needs entries")
+    unpack = _SECTOR_WORDS.unpack
+    exact: "OrderedDict[int, None]" = OrderedDict()
+    near: "OrderedDict[int, None]" = OrderedDict()
+    exact_touch, exact_evict = exact.move_to_end, exact.popitem
+    near_touch, near_evict = near.move_to_end, near.popitem
+    reads = full = halves = masked = 0
     for access in trace:
-        if access.values is None:
+        images = access.values
+        if images is None:
             continue
-        for _slot, image in access.values:
-            study.observe_sector(image, is_read=not access.write)
-    return study.report()
+        is_read = not access.write
+        for _slot, image in images:
+            words = unpack(image)
+            near_words = [w & 0xFFFFFFF0 for w in words]
+            if is_read:
+                reads += 1
+                a, b, c, d, e, f, g, h = words
+                low = (a in exact) + (b in exact) + (c in exact) + (d in exact)
+                high = (e in exact) + (f in exact) + (g in exact) + (h in exact)
+                if low + high == 8:
+                    full += 1
+                if low >= 3 and high >= 3:
+                    halves += 1
+                a, b, c, d, e, f, g, h = near_words
+                if ((a in near) + (b in near) + (c in near) + (d in near) >= 3
+                        and (e in near) + (f in near) + (g in near)
+                        + (h in near) >= 3):
+                    masked += 1
+            for key in words:
+                if key in exact:
+                    exact_touch(key)
+                else:
+                    exact[key] = None
+                    if len(exact) > cache_entries:
+                        exact_evict(last=False)
+            for key in near_words:
+                if key in near:
+                    near_touch(key)
+                else:
+                    near[key] = None
+                    if len(near) > cache_entries:
+                        near_evict(last=False)
+    reads = reads or 1  # a trace without read sectors reports 0.0
+    return {"full": full / reads, "halves": halves / reads,
+            "masked": masked / reads}

@@ -119,6 +119,20 @@ class TestSpanDetail:
         assert 0 < fill_calls < profile.result.engine_stats.fills
         assert ("replay_events", "engine.fill", "engine.counter_read") in stats
 
+    def test_value_stage_has_its_own_span(self):
+        profile = run_profile(
+            "bfs",
+            "plutus",
+            length=800,
+            obs=ObsConfig(enabled=True, span_detail=True),
+            cache_dir="",
+        )
+        stats = profile.session.profiler.stats()
+        value = stats[("replay_events", "engine.fill", "engine.value")]
+        # One value span per fill run, under its engine.fill span.
+        assert value.calls == stats[("replay_events", "engine.fill")].calls
+        assert ("replay_events", "engine.writeback", "engine.value") in stats
+
 
 class TestDisabledModeUnchanged:
     def test_results_identical_with_and_without_obs(self, bfs_log):

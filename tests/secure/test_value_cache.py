@@ -33,6 +33,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ValueCacheConfig(hits_required=5, values_per_unit=4)
 
+    def test_unreachable_pin_threshold_rejected(self):
+        """The frequency counter saturates at 2**freq_bits - 1, so a
+        threshold above it could never pin anything."""
+        with pytest.raises(ConfigurationError):
+            ValueCacheConfig(pin_threshold=16)
+        with pytest.raises(ConfigurationError):
+            ValueCacheConfig(freq_bits=2, pin_threshold=4)
+        ValueCacheConfig(freq_bits=2, pin_threshold=3)
+
+    def test_highest_pin_threshold_still_pins(self):
+        cache = ValueCache(ValueCacheConfig(entries=16, pin_threshold=15))
+        cache.observe(0x100)
+        for _ in range(14):
+            cache.probe(0x100)
+        assert cache.pinned_values() == [0x100]
+
 
 class TestProbeAndObserve:
     def test_miss_then_hit(self):

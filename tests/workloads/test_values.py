@@ -1,14 +1,21 @@
 """Tests for value models and the reuse study."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
+from repro.workloads.benchmarks import PAPER_ROSTER, build_trace
+from repro.workloads.trace import TraceAccess
 from repro.workloads.values import (
     ValueModel,
     ValueModelConfig,
-    ValueReuseStudy,
     study_trace_values,
+)
+from tests.workloads.reference_study import (
+    ValueReuseStudy,
+    reference_study_trace_values,
 )
 
 
@@ -120,3 +127,56 @@ class TestReuseStudy:
         report = study_trace_values(bfs_trace)
         assert set(report) == {"full", "halves", "masked"}
         assert 0.0 < report["masked"] < 1.0
+
+
+def _word(bases):
+    """A 32-bit value from a small alphabet: a base with its low nibble
+    either cleared or free, so exact and masked hits both happen."""
+    nibble = st.one_of(st.just(0), st.integers(0, 15))
+    return st.builds(lambda base, low: (base & 0xFFFFFFF0) | low,
+                     st.sampled_from(bases), nibble)
+
+
+@st.composite
+def access_streams(draw):
+    """Random accesses: read/write mixes, accesses without values, and
+    sectors with repeated words, over a small value alphabet."""
+    bases = draw(st.lists(st.integers(0, 0xFFFFFFFF), min_size=1,
+                          max_size=12, unique=True))
+    word = _word(bases)
+    sector = st.one_of(
+        st.lists(word, min_size=8, max_size=8),
+        word.map(lambda w: [w] * 8),
+    ).map(lambda words: b"".join(w.to_bytes(4, "little") for w in words))
+    accesses = draw(st.lists(
+        st.tuples(st.booleans(),
+                  st.one_of(st.none(), st.lists(sector, min_size=1,
+                                                max_size=4))),
+        max_size=60,
+    ))
+    return [
+        TraceAccess(128 * i, (1 << len(images or (0,))) - 1, write,
+                    None if images is None else list(enumerate(images)))
+        for i, (write, images) in enumerate(accesses)
+    ]
+
+
+class TestStudyMatchesReference:
+    """The two-LRU pass reports exactly what the per-value study does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=access_streams(),
+           entries=st.one_of(st.integers(1, 64), st.just(512)))
+    def test_random_streams(self, trace, entries):
+        assert study_trace_values(trace, entries) == \
+            reference_study_trace_values(trace, entries)
+
+    def test_paper_roster(self):
+        for bench in PAPER_ROSTER:
+            trace = build_trace(bench, length=300)
+            assert study_trace_values(trace) == \
+                reference_study_trace_values(trace), bench
+
+    def test_empty_cache_rejected(self):
+        with pytest.raises(ConfigurationError):
+            study_trace_values([], cache_entries=0)
