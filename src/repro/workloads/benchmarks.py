@@ -71,7 +71,6 @@ class BenchmarkProfile:
     read_patterns: Tuple[PatternSpec, ...]
     write_patterns: Tuple[PatternSpec, ...]
     values: ValueModelConfig
-    default_length: int = 120_000
     #: Execution history before the simulated window, in units of "times
     #: the window's writeback set was written before". Iterative kernels
     #: (stencils, LBM, training sweeps) rewrite their arrays every
@@ -496,19 +495,20 @@ def _generate_mix(
 
 def build_trace(
     name: str,
-    length: Optional[int] = None,
+    length: int,
     seed: int = 2023,
     with_values: bool = True,
 ) -> Trace:
     """Synthesize a benchmark's access trace.
 
-    ``length`` is the number of coalesced L2 accesses (default from the
-    profile); ``seed`` makes the trace fully deterministic;
+    ``length`` is the number of coalesced L2 accesses (required: no
+    default can suit both a quick test and a full reproduction);
+    ``seed`` makes the trace fully deterministic;
     ``with_values=False`` omits sector images for experiments that do
     not exercise the value cache (faster, lighter).
     """
     profile = get_profile(name)
-    n = profile.default_length if length is None else length
+    n = length
     if n <= 0:
         raise ConfigurationError("trace length must be positive")
     rng = RngStream(seed, f"trace:{name}")
@@ -586,7 +586,7 @@ def build_trace(
 
 
 def build_all_traces(
-    length: Optional[int] = None, seed: int = 2023, with_values: bool = True
+    length: int, seed: int = 2023, with_values: bool = True
 ) -> Dict[str, Trace]:
     """Build the full roster (the figure harness's workhorse)."""
     return {

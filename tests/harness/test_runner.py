@@ -129,3 +129,18 @@ class TestDesignIdentity:
         assert fresh.run_custom(
             "bfs", "plutus", EngineSpec(NoSecurityEngine)
         ) is custom
+
+
+def test_pssm_matches_gran_128b_on_the_roster():
+    # PSSM is Plutus with all three ideas off (128 B metadata, no value
+    # cache, no compact counters): the same traffic and stats on every
+    # benchmark. Evidence for retiring PssmEngine in favour of the
+    # staged Plutus path.
+    with ExperimentContext(trace_length=500, cache_dir="") as ctx:
+        ctx.prefetch(["pssm", "gran:128B"])
+        for bench in ctx.benchmarks:
+            pssm = ctx.run(bench, "pssm")
+            gran = ctx.run(bench, "gran:128B")
+            assert pssm.traffic == gran.traffic, bench
+            assert pssm.engine_stats == gran.engine_stats, bench
+    assert len(ctx.benchmarks) == 14

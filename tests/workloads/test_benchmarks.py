@@ -6,6 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.workloads.benchmarks import (
     BENCHMARKS,
     benchmark_names,
+    build_all_traces,
     build_trace,
     get_profile,
     scaled_profile,
@@ -51,6 +52,14 @@ class TestRoster:
 class TestBuildTrace:
     def test_length_honoured(self):
         assert len(build_trace("bfs", length=500)) == 500
+
+    def test_length_is_required(self):
+        # No default: a forgotten length used to build 120000 accesses,
+        # 4x a full reproduction's trace.
+        with pytest.raises(TypeError):
+            build_trace("bfs")
+        with pytest.raises(TypeError):
+            build_all_traces()
 
     def test_determinism(self):
         a = build_trace("kmeans", length=300, seed=5)
