@@ -79,12 +79,7 @@ class TrafficCounter:
             self._transactions[stream] += other._transactions[stream]
 
     def reset(self) -> None:
-        """Zero all totals in place.
-
-        Interval profiling accumulates into one counter per window and
-        resets it at each snapshot, so per-interval deltas never
-        re-allocate counters (see :func:`repro.gpu.simulator.replay_events`).
-        """
+        """Zero all totals in place."""
         for stream in Stream:
             self._bytes[stream] = 0
             self._transactions[stream] = 0

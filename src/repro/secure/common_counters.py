@@ -148,7 +148,7 @@ class CommonCountersEngine(MetadataEngine):
             self.stats.counter_onchip_hits += n_common
             if n_common < n:
                 self._batch_counter_reads(sectors[~common])
-        self._batch_mac_reads(sectors)
+        self.mac_stage.fill_run(sectors)
 
     def on_writeback_batch(self, sector_indices, values) -> None:
         sectors = np.asarray(sector_indices, dtype=np.int64)
@@ -158,7 +158,7 @@ class CommonCountersEngine(MetadataEngine):
                 np.unique(sectors // self.region_sectors).tolist()
             )
         self._batch_counter_writes(sectors)
-        self._batch_mac_writes(sectors)
+        self.mac_stage.writeback_run(sectors)
 
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         if passes <= 0:

@@ -76,10 +76,10 @@ class PssmEngine(MetadataEngine):
         sectors = np.asarray(sector_indices, dtype=np.int64)
         self.stats.fills += int(sectors.size)
         self._batch_counter_reads(sectors)
-        self._batch_mac_reads(sectors)
+        self.mac_stage.fill_run(sectors)
 
     def on_writeback_batch(self, sector_indices, values) -> None:
         sectors = np.asarray(sector_indices, dtype=np.int64)
         self.stats.writebacks += int(sectors.size)
         self._batch_counter_writes(sectors)
-        self._batch_mac_writes(sectors)
+        self.mac_stage.writeback_run(sectors)
