@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitops import popcount
@@ -123,6 +124,15 @@ class AccessResult:
         return popcount(self.hit_mask)
 
 
+@lru_cache(maxsize=None)
+def _popcount_table(sectors_per_line: int) -> Optional[Tuple[int, ...]]:
+    """Popcount of every sector mask of a line shape, shared by all
+    caches of that shape; None when lines are too wide for a table."""
+    if sectors_per_line > 16:
+        return None
+    return tuple(bin(m).count("1") for m in range(1 << sectors_per_line))
+
+
 class _Line:
     __slots__ = ("valid_mask", "dirty_mask")
 
@@ -143,10 +153,16 @@ class SectoredCache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
+        # The frozen config's derived geometry, read on every access.
+        self._ways = config.ways
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._full_mask = config.full_mask
+        self._sectored = config.sectored
         # One OrderedDict per set: line_addr -> _Line, LRU order = insertion
         # order with move_to_end on touch.
         self._sets: List["OrderedDict[int, _Line]"] = [
-            OrderedDict() for _ in range(config.num_sets)
+            OrderedDict() for _ in range(self._num_sets)
         ]
         # Observability binds at construction: instances created under an
         # active session publish hit/miss/eviction counters aggregated by
@@ -170,13 +186,11 @@ class SectoredCache:
         # fold in :meth:`_set_index` is pure in the address, so repeat
         # lookups hit a memo dict (bounded by the distinct lines the
         # metadata address space ever touches); popcounts of sector
-        # masks come from a table when lines are narrow enough (the
-        # 128 B / 32 B metadata lines have only 4 sectors).
+        # masks come from a table shared by every cache of the line
+        # shape (the 128 B / 32 B metadata lines have only 4 sectors).
         self._set_memo: Dict[int, int] = {}
-        self._pc_table: Optional[List[int]] = (
-            [bin(m).count("1") for m in range(1 << config.sectors_per_line)]
-            if config.sectors_per_line <= 16 else None
-        )
+        #: Popcount of each sector mask (None for lines over 16 sectors).
+        self.popcounts = _popcount_table(config.sectors_per_line)
 
     def _set_index(self, line_addr: int) -> int:
         """XOR-folded set index.
@@ -188,8 +202,8 @@ class SectoredCache:
         upper line-index bits into the index (as real cache hash
         functions do) decorrelates those strides.
         """
-        line = line_addr // self.config.line_bytes
-        sets = self.config.num_sets
+        line = line_addr // self._line_bytes
+        sets = self._num_sets
         if sets == 1:
             return 0  # fully-associative: the fold below cannot shrink line
         folded = 0
@@ -201,18 +215,21 @@ class SectoredCache:
         return folded % sets
 
     def _normalize_mask(self, sector_mask: int) -> int:
-        mask = sector_mask & self.config.full_mask
+        mask = sector_mask & self._full_mask
         if mask == 0:
             raise ValueError("sector mask selects no sectors")
-        if not self.config.sectored:
+        if not self._sectored:
             # Non-sectored caches always operate on the whole line.
-            return self.config.full_mask
+            return self._full_mask
         return mask
 
     def probe(self, line_addr: int, sector_mask: int) -> Tuple[int, int]:
         """Hit/miss masks without updating state or statistics."""
         mask = self._normalize_mask(sector_mask)
-        line = self._sets[self._set_index(line_addr)].get(line_addr)
+        index = self._set_memo.get(line_addr)
+        if index is None:
+            index = self._set_memo[line_addr] = self._set_index(line_addr)
+        line = self._sets[index].get(line_addr)
         if line is None:
             return 0, mask
         hit = mask & line.valid_mask
@@ -235,7 +252,7 @@ class SectoredCache:
 
         line = set_.get(line_addr)
         if line is None:
-            if len(set_) >= self.config.ways:
+            if len(set_) >= self._ways:
                 victim_addr, victim = set_.popitem(last=False)
                 self.stats.line_evictions += 1
                 if self._m_evictions is not None:
@@ -250,8 +267,13 @@ class SectoredCache:
 
         hit_mask = mask & line.valid_mask
         miss_mask = mask & ~line.valid_mask
-        hits = popcount(hit_mask)
-        misses = popcount(miss_mask)
+        pc = self.popcounts
+        if pc is not None:
+            hits = pc[hit_mask]
+            misses = pc[miss_mask]
+        else:
+            hits = popcount(hit_mask)
+            misses = popcount(miss_mask)
         self.stats.sector_hits += hits
         self.stats.sector_misses += misses
         if self._m_hits is not None:
@@ -307,7 +329,12 @@ class SectoredCache:
         State and statistics transitions are identical to
         :meth:`access_run`.
         """
-        mask = self._normalize_mask(sector_mask)
+        full = self._full_mask
+        mask = sector_mask & full
+        if mask == 0:
+            raise ValueError("sector mask selects no sectors")
+        if not self._sectored:
+            mask = full
         stats = self.stats
         stats.accesses += count
         memo = self._set_memo
@@ -320,7 +347,7 @@ class SectoredCache:
 
         line = set_.get(line_addr)
         if line is None:
-            if len(set_) >= self.config.ways:
+            if len(set_) >= self._ways:
                 victim_addr, victim = set_.popitem(last=False)
                 stats.line_evictions += 1
                 if self._m_evictions is not None:
@@ -336,7 +363,7 @@ class SectoredCache:
         valid = line.valid_mask
         hit_mask = mask & valid
         miss_mask = mask & ~valid
-        pc = self._pc_table
+        pc = self.popcounts
         if pc is not None:
             hits = pc[hit_mask]
             if count > 1:
@@ -355,7 +382,7 @@ class SectoredCache:
             if misses:
                 self._m_misses.inc(misses)
 
-        line.valid_mask |= mask
+        line.valid_mask = valid | mask
         if write:
             line.dirty_mask |= mask
         return miss_mask, misses, evictions

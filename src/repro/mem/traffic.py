@@ -33,6 +33,11 @@ class Stream(Enum):
     #: engine (docs/ARCHITECTURE.md § Crash consistency & recovery).
     METADATA_LOG_WRITE = "metadata_log_write"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality, and it runs at C speed where Enum's
+    # own __hash__ is a Python call on every traffic record.
+    __hash__ = object.__hash__
+
 
 #: Streams that carry security metadata rather than program data.
 METADATA_STREAMS = frozenset(s for s in Stream if not s.value.startswith("data"))

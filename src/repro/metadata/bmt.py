@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.bitops import popcount
 from repro.mem.cache import SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter
 from repro.obs.session import active as _obs_active
@@ -95,6 +96,19 @@ class BmtGeometry:
             offset += size * self.node_bytes
         return tuple(bases)
 
+    @cached_property
+    def walk(self) -> Tuple[Tuple[int, int], ...]:
+        """``(byte base, arity**level)`` of each stored level, leaf to root.
+
+        Levels 1 to ``root_level - 1``: the on-chip root is never
+        fetched. A leaf's ancestor at the i-th level sits at
+        ``base + leaf // divisor * node_bytes``.
+        """
+        return tuple(
+            (self._level_bases[level - 1], self.arity**level)
+            for level in range(1, self.root_level)
+        )
+
     @property
     def storage_bytes(self) -> int:
         """Off-chip storage of the tree (the root is counted too; it is
@@ -142,6 +156,13 @@ class BmtTraversal:
     of its parent, a node miss fetches ``node_bytes`` — whole 128 B lines
     in the classic design, single 32 B sectors in Plutus's fine-grained
     design. That asymmetry is the entire Fig. 16 experiment.
+
+    Every walk runs on the cache's raw path
+    (:meth:`~repro.mem.cache.SectoredCache.access_run_raw`): node
+    addresses come from the geometry's precomputed :attr:`BmtGeometry.walk`
+    pairs, read traffic posts once per walk, and only a dirty eviction
+    allocates anything. The object-path walk it must match access for
+    access is kept as a test oracle (``tests/metadata/reference_bmt.py``).
     """
 
     def __init__(
@@ -153,13 +174,14 @@ class BmtTraversal:
         write_stream: Stream = Stream.BMT_WRITE,
         lazy_update: bool = True,
     ) -> None:
-        line = cache.config.line_bytes
-        if geometry.node_bytes % cache.config.sector_bytes and (
-            geometry.node_bytes < cache.config.sector_bytes
-        ):
-            raise ConfigurationError("node size incompatible with cache sectors")
-        if geometry.node_bytes > line:
-            raise ConfigurationError("node larger than a cache line")
+        cfg = cache.config
+        node_bytes = geometry.node_bytes
+        if node_bytes % cfg.sector_bytes or cfg.line_bytes % node_bytes:
+            raise ConfigurationError(
+                f"{node_bytes} B node is not a whole number of "
+                f"{cfg.sector_bytes} B sectors dividing the "
+                f"{cfg.line_bytes} B cache line"
+            )
         self.geometry = geometry
         self.cache = cache
         self.traffic = traffic
@@ -168,6 +190,26 @@ class BmtTraversal:
         self.lazy_update = lazy_update
         #: Number of verification walks that reached the root.
         self.root_verifications = 0
+        # Walk constants. A node is node_sectors whole sectors and never
+        # straddles a line (it divides the line, and every level starts
+        # on a node boundary).
+        self._access = cache.access_run_raw
+        table = cache.popcounts
+        self._popcount = table.__getitem__ if table is not None else popcount
+        self._walk = geometry.walk
+        self._num_leaves = geometry.num_leaves
+        self._bases = geometry._level_bases
+        self._sizes = geometry.level_sizes
+        self._sector_bytes = cfg.sector_bytes
+        self._line_bytes = cfg.line_bytes
+        self._node_bytes = node_bytes
+        self._node_sectors = node_bytes // cfg.sector_bytes
+        self._node_mask = (1 << self._node_sectors) - 1
+        #: (byte offset, sector mask) of each node slot of a line.
+        self._line_nodes = tuple(
+            (k * node_bytes, self._node_mask << (k * self._node_sectors))
+            for k in range(cfg.line_bytes // node_bytes)
+        )
         # Observability: histogram of fetched-levels per verification
         # walk, keyed by tree family (original "bmt" vs compact mirror
         # "compact_bmt") so the profile dashboard can show how deep
@@ -191,63 +233,61 @@ class BmtTraversal:
             obs.profiler if obs.config.span_detail_active else None
         )
 
-    # -- address helpers -------------------------------------------------
+    def _check_leaf(self, leaf_index: int) -> None:
+        if not 0 <= leaf_index < self._num_leaves:
+            raise ValueError(f"leaf {leaf_index} out of range")
 
-    def _line_and_mask(self, byte_addr: int) -> Tuple[int, int]:
-        """Cache line address and sector mask covering one tree node."""
-        cfg = self.cache.config
-        line_addr = byte_addr - (byte_addr % cfg.line_bytes)
-        first_sector = (byte_addr % cfg.line_bytes) // cfg.sector_bytes
-        sectors = max(1, self.geometry.node_bytes // cfg.sector_bytes)
-        mask = ((1 << sectors) - 1) << first_sector
-        return line_addr, mask
+    # -- node accesses -----------------------------------------------------
 
-    # -- eviction propagation --------------------------------------------
+    def _touch(self, node_addr: int, dirty: bool) -> None:
+        """Bring one node into the cache, optionally dirtying it."""
+        offset = node_addr % self._line_bytes
+        _, misses, evictions = self._access(
+            node_addr - offset,
+            self._node_mask << (offset // self._sector_bytes),
+            dirty,
+            1,
+        )
+        if misses:
+            self.traffic.record(
+                self.read_stream,
+                misses * self._sector_bytes,
+                transactions=misses,
+            )
+        if evictions:
+            self._writeback(evictions)
 
     def _writeback(self, evictions) -> None:
         """Lazy update: a dirty node leaving the cache updates its parent."""
+        sector_bytes = self._sector_bytes
         for ev in evictions:
+            line_addr = ev.line_addr
+            dirty = ev.dirty_mask
+            count = self._popcount(dirty)
             self.traffic.record(
-                self.write_stream,
-                ev.dirty_sector_count * self.cache.config.sector_bytes,
-                transactions=ev.dirty_sector_count,
+                self.write_stream, count * sector_bytes, transactions=count
             )
             if not self.lazy_update:
                 continue  # eager mode already updated ancestors on write
-            # Identify which node(s) the dirty sectors belong to and
-            # propagate dirtiness to each parent still below the root.
-            cfg = self.cache.config
-            seen_offsets = set()
-            for s in range(cfg.sectors_per_line):
-                if not (ev.dirty_mask >> s) & 1:
+            # Each dirty node of the line, in address order, dirties its
+            # parent unless that parent is the on-chip root.
+            bases = self._bases
+            root_child = len(bases) - 1  # the level whose parent is the root
+            for offset, mask in self._line_nodes:
+                if not dirty & mask:
                     continue
-                byte_addr = ev.line_addr + s * cfg.sector_bytes
-                node_base = byte_addr - (byte_addr % self.geometry.node_bytes) \
-                    if self.geometry.node_bytes >= cfg.sector_bytes else byte_addr
-                if node_base in seen_offsets:
-                    continue
-                seen_offsets.add(node_base)
-                try:
-                    level, node = self.geometry.locate(node_base)
-                except ValueError:
-                    continue
-                if level + 1 >= self.geometry.root_level:
+                node_addr = line_addr + offset
+                level = bisect_right(bases, node_addr)
+                if level >= root_child:
                     continue  # parent is the on-chip root: updated in place
-                parent_leaf = node * (self.geometry.arity**level)
-                self._touch_node(parent_leaf, level + 1, dirty=True)
-
-    def _touch_node(self, leaf_index: int, level: int, dirty: bool) -> None:
-        """Bring one ancestor node into the cache, optionally dirtying it."""
-        addr = self.geometry.node_address(leaf_index, level)
-        line, mask = self._line_and_mask(addr)
-        result = self.cache.access(line, mask, write=dirty)
-        if result.miss_mask:
-            self.traffic.record(
-                self.read_stream,
-                result.miss_sector_count * self.cache.config.sector_bytes,
-                transactions=result.miss_sector_count,
-            )
-        self._writeback(result.evictions)
+                node = (node_addr - bases[level - 1]) // self._node_bytes
+                if node >= self._sizes[level - 1]:
+                    continue  # beyond the tree's storage
+                self._touch(
+                    bases[level]
+                    + node // self.geometry.arity * self._node_bytes,
+                    True,
+                )
 
     # -- public walks ------------------------------------------------------
 
@@ -266,26 +306,36 @@ class BmtTraversal:
             return fetched
 
     def _verify_leaf(self, leaf_index: int) -> int:
-        fetched = 0
-        for level in range(1, self.geometry.root_level + 1):
-            if level == self.geometry.root_level:
-                self.root_verifications += 1
+        walk = self._walk
+        if walk:
+            self._check_leaf(leaf_index)
+        access = self._access
+        line_bytes = self._line_bytes
+        sector_bytes = self._sector_bytes
+        node_bytes = self._node_bytes
+        node_mask = self._node_mask
+        fetched = missed = 0
+        for base, divisor in walk:
+            addr = base + leaf_index // divisor * node_bytes
+            offset = addr % line_bytes
+            miss_mask, misses, evictions = access(
+                addr - offset, node_mask << (offset // sector_bytes),
+                False, 1,
+            )
+            if evictions:
+                self._writeback(evictions)
+            if not miss_mask:
+                # Full hit: node already verified earlier; chain trusted.
                 break
-            addr = self.geometry.node_address(leaf_index, level)
-            line, mask = self._line_and_mask(addr)
-            result = self.cache.access(line, mask, write=False)
-            if result.miss_mask:
-                fetched += 1
-                self.traffic.record(
-                    self.read_stream,
-                    result.miss_sector_count * self.cache.config.sector_bytes,
-                    transactions=result.miss_sector_count,
-                )
-                self._writeback(result.evictions)
-                continue  # fetched node must itself be verified: go up
-            # Full hit: node already verified earlier; chain is trusted.
-            self._writeback(result.evictions)
-            break
+            # A fetched node must itself be verified: go up.
+            fetched += 1
+            missed += misses
+        else:
+            self.root_verifications += 1
+        if missed:
+            self.traffic.record(
+                self.read_stream, missed * sector_bytes, transactions=missed
+            )
         if self._h_verify_depth is not None:
             self._h_verify_depth.record(fetched)
         return fetched
@@ -304,21 +354,25 @@ class BmtTraversal:
                 self._update_leaf(leaf_index)
 
     def _update_leaf(self, leaf_index: int) -> None:
-        if self.geometry.root_level == 1:
+        walk = self._walk
+        if not walk:
             return  # parent is the root itself; nothing stored off-chip
+        node_bytes = self._node_bytes
         if self.lazy_update:
             self.verify_leaf(leaf_index)
-            self._touch_node(leaf_index, 1, dirty=True)
+            base, divisor = walk[0]
+            self._touch(base + leaf_index // divisor * node_bytes, True)
             return
-        for level in range(1, self.geometry.root_level):
-            self._touch_node(leaf_index, level, dirty=True)
-            # Eager: the node is written through to memory immediately.
-            sectors = max(1, self.geometry.node_bytes // self.cache.config.sector_bytes)
-            self.traffic.record(
-                self.write_stream,
-                sectors * self.cache.config.sector_bytes,
-                transactions=sectors,
-            )
+        self._check_leaf(leaf_index)
+        for base, divisor in walk:
+            self._touch(base + leaf_index // divisor * node_bytes, True)
+        # Eager: every node of the path is written through immediately.
+        writes = len(walk) * self._node_sectors
+        self.traffic.record(
+            self.write_stream,
+            writes * self._sector_bytes,
+            transactions=writes,
+        )
 
     def update_leaves(self, leaf_indices) -> None:
         """Lazy-update a run of leaves, coalescing shared ancestors.
@@ -326,8 +380,8 @@ class BmtTraversal:
         Consecutive leaves under the same level-1 parent repeat the same
         walk: once the parent is resident and dirty, every further
         update in the run is one full-hit verify (depth 0) plus one
-        full-hit dirty touch. Those pairs are replayed as two direct
-        cache accesses — state-, traffic-, and stats-identical to
+        full-hit dirty touch. Those pairs are replayed as one two-access
+        cache run — state-, traffic-, and stats-identical to
         :meth:`update_leaf`, which is why the eviction drains can route
         through here unconditionally. A probe guards the compressed
         form: if an interleaved eviction pushed the parent out, the
@@ -339,24 +393,32 @@ class BmtTraversal:
             for leaf_index in leaf_indices:
                 self.update_leaf(leaf_index)
             return
-        if self.geometry.root_level == 1:
+        walk = self._walk
+        if not walk:
             return  # every update_leaf is a no-op
-        cache_access = self.cache.access
+        base, divisor = walk[0]
+        access = self._access
+        probe = self.cache.probe
+        line_bytes = self._line_bytes
+        sector_bytes = self._sector_bytes
+        node_bytes = self._node_bytes
+        node_mask = self._node_mask
         prev_line = -1
         prev_mask = 0
         for leaf_index in leaf_indices:
-            addr = self.geometry.node_address(leaf_index, 1)
-            line, mask = self._line_and_mask(addr)
+            addr = base + leaf_index // divisor * node_bytes
+            offset = addr % line_bytes
+            line = addr - offset
+            mask = node_mask << (offset // sector_bytes)
             if line == prev_line and mask == prev_mask:
-                _hit, miss = self.cache.probe(line, mask)
-                if not miss:
-                    # Parent fully resident: the verify is a single
-                    # full-hit access that evicts nothing, then the
-                    # dirty touch hits the same line.
-                    cache_access(line, mask, write=False)
+                self._check_leaf(leaf_index)
+                if not probe(line, mask)[1]:
+                    # Parent fully resident: the verify is a full hit
+                    # that evicts nothing, then the dirty touch hits
+                    # the same line.
+                    access(line, mask, True, 2)
                     if self._h_verify_depth is not None:
                         self._h_verify_depth.record(0)
-                    cache_access(line, mask, write=True)
                     continue
             self._update_leaf(leaf_index)
             prev_line = line

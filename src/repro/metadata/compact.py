@@ -249,33 +249,48 @@ class CompactCounterState:
             return 1
         return 0
 
-    def bulk_writes_safe(self, sectors, counts) -> bool:
-        """True when ``counts[i]`` writes of ``sectors[i]`` trigger no
-        saturation bookkeeping — the precondition for :meth:`bulk_writes`.
+    def apply_write_totals(self, sectors, counts) -> None:
+        """Apply ``counts[i]`` writes of each distinct ``sectors[i]``.
 
-        A sector is bulk-safe when it is already routed to the originals
-        (forced or saturated — further writes only bump the ground-truth
-        count) or when the added writes stay strictly below the
-        saturation code. Disabled blocks are inherently safe: writes
-        there mutate nothing but the count.
+        Exactly the state :meth:`plan_write` leaves after those writes in
+        any interleaving, provided no :meth:`force_original` call falls
+        between them (warmup without a minor overflow). Then a sector's
+        count is a sum, and it crosses the saturation code at most once.
+        A crossing in an enabled block counts toward the block's
+        saturated total; for an adaptive design the crossing that
+        brings the total to ``disable_threshold`` disables the block,
+        and the block's later crossings count no more. So each block
+        only needs its number of crossings, not their order.
         """
+        cfg = self.config
+        sat = cfg.saturation_value
+        per_block = cfg.counters_per_block
+        adaptive = cfg.adaptive
         writes = self._writes
         get = writes.get
-        sat = self.config.saturation_value
         forced = self._forced_original
+        disabled = self._disabled_blocks if adaptive else ()
+        crossings: Dict[int, int] = {}
         for s, c in zip(sectors, counts):
             w = get(s, 0)
-            if s not in forced and w < sat and w + c >= sat:
-                return False
-        return True
-
-    def bulk_writes(self, sectors, counts) -> None:
-        """Apply per-sector write totals checked by
-        :meth:`bulk_writes_safe` (no saturation crossing, so order-free)."""
-        writes = self._writes
-        get = writes.get
-        for s, c in zip(sectors, counts):
-            writes[s] = get(s, 0) + c
+            writes[s] = w + c
+            if w < sat <= w + c and s not in forced:
+                block = s // per_block
+                if block not in disabled:
+                    crossings[block] = crossings.get(block, 0) + 1
+        threshold = cfg.disable_threshold
+        for block, counted in crossings.items():
+            saturated = self._saturated_in_block.get(block, 0)
+            if adaptive:
+                # The crossing that reaches the threshold disables the
+                # block (at once if it is already there).
+                counted = min(counted, max(1, threshold - saturated))
+            saturated += counted
+            self._saturated_in_block[block] = saturated
+            self.propagation_events += counted
+            if adaptive and saturated >= threshold:
+                self._disabled_blocks.add(block)
+                self.disable_events += 1
 
     def state_summary(self):
         """Canonical full-state value for differential comparison."""

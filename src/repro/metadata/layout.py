@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -152,6 +153,9 @@ class MetadataLayout:
 
     # -- BMT ------------------------------------------------------------------
 
+    # Layouts are frozen and hash by value, so every partition of every
+    # engine with an equal layout shares one geometry and its walk tables.
+    @lru_cache(maxsize=64)
     def bmt_geometry(self) -> BmtGeometry:
         """Integrity-tree shape implied by the granularity design."""
         if self.design is GranularityDesign.BLOCK_128:

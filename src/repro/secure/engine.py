@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import Stream, TrafficCounter
-from repro.obs.session import active as _obs_active
+from repro.obs.session import activate, active as _obs_active
 from repro.obs.spans import NULL_SPAN_PROFILER
 from repro.metadata.bmt import BmtTraversal
 from repro.metadata.layout import GranularityDesign, MetadataLayout
@@ -66,12 +66,12 @@ class EngineStats:
     @classmethod
     def merged(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
         """Field-wise sum of per-partition stats."""
-        total = cls()
+        totals = dict.fromkeys((f.name for f in fields(cls)), 0)
         for stats in parts:
-            for f in fields(cls):
-                setattr(total, f.name,
-                        getattr(total, f.name) + getattr(stats, f.name))
-        return total
+            values = vars(stats)
+            for name in totals:
+                totals[name] += values[name]
+        return cls(**totals)
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,6 @@ class MetadataEngine(PartitionEngine):
         )
         self.counters = SplitCounterStore(counter_config)
         self.counter_cache = cache_config.build(f"ctr[{partition_id}]")
-        self.mac_cache = cache_config.build(f"mac[{partition_id}]")
         self.bmt_cache = cache_config.build(f"bmt[{partition_id}]")
         self.bmt = BmtTraversal(
             self.layout.bmt_geometry(),
@@ -403,9 +402,29 @@ class MetadataEngine(PartitionEngine):
             write_stream=Stream.BMT_WRITE,
             lazy_update=lazy_update,
         )
-        self.mac_stage = MacStage(
-            self.layout, self.mac_cache, traffic, self.stats, self._prof
-        )
+        self._cache_config = cache_config
+        self._mac_stage: Optional[MacStage] = None
+
+    @property
+    def mac_stage(self) -> MacStage:
+        """The engine's MAC stage, built on first use.
+
+        A counter+tree stage of a staged replay never touches MACs, so
+        it never pays for a MAC cache. The cache binds to the session
+        the engine was built under, wherever it is first used.
+        """
+        stage = self._mac_stage
+        if stage is None:
+            with activate(self.obs):
+                cache = self._cache_config.build(f"mac[{self.partition_id}]")
+            stage = self._mac_stage = MacStage(
+                self.layout, cache, self.traffic, self.stats, self._prof
+            )
+        return stage
+
+    @property
+    def mac_cache(self) -> SectoredCache:
+        return self.mac_stage.cache
 
     # -- eviction plumbing ---------------------------------------------------
 

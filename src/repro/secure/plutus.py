@@ -116,44 +116,21 @@ class ValueStage:
 
     def fill_run(self, keys_list) -> np.ndarray:
         """Verify a fill run by value; rows whose MAC must be fetched."""
-        vc = self.cache
-        mac_rows = np.zeros(len(keys_list), dtype=bool)
-        verified = failures = 0
         with self._prof.span("engine.value", events=len(keys_list)):
-            for i, keys in enumerate(keys_list):
-                if keys is None:
-                    mac_rows[i] = True
-                    continue
-                if vc.verify_keys(keys):
-                    verified += 1
-                else:
-                    failures += 1
-                    mac_rows[i] = True
-                vc.observe_keys(keys)
+            rows, verified, failures = self.cache.fill_run(keys_list)
         self.stats.value_verified_fills += verified
         self.stats.mac_fetches_avoided += verified
         self.stats.value_check_failures += failures
-        return mac_rows
+        return np.array(rows, dtype=bool)
 
     def writeback_run(self, keys_list) -> np.ndarray:
         """Train on a writeback run; rows whose MAC must be written."""
-        vc = self.cache
-        mac_rows = np.zeros(len(keys_list), dtype=bool)
-        avoided = 0
         with self._prof.span("engine.value", events=len(keys_list)):
-            for i, keys in enumerate(keys_list):
-                if keys is None:
-                    mac_rows[i] = True
-                    continue
-                vc.observe_keys(keys)
-                if vc.write_verifiable_keys(keys):
-                    # Guaranteed to value-verify at next read: the MAC
-                    # update is skipped entirely (paper Fig. 11).
-                    avoided += 1
-                else:
-                    mac_rows[i] = True
+            rows, avoided = self.cache.writeback_run(keys_list)
+        # A verifiable write is guaranteed to value-verify at its next
+        # read: its MAC update is skipped entirely (paper Fig. 11).
         self.stats.mac_writes_avoided += avoided
-        return mac_rows
+        return np.array(rows, dtype=bool)
 
     def obs_snapshot(self) -> Dict[str, int]:
         """Cumulative probe counts for interval sampling."""
@@ -711,10 +688,11 @@ class PlutusEngine(MetadataEngine):
     def warm_counters_batch(self, sector_indices, passes: int = 1) -> None:
         """Vectorized two-layer warmup.
 
-        Bulk application needs *both* layers order-free: no minor
-        overflow (whose force_original would redirect later compact
-        plans) and no compact saturation crossing. Otherwise the exact
-        scalar interleaving replays.
+        When no minor counter can overflow, nothing forces a sector to
+        the originals mid-warmup, so both layers take per-sector totals
+        in one bulk pass (:meth:`CompactCounterState.apply_write_totals` is
+        exact for any saturation crossings). Otherwise the exact scalar
+        interleaving replays.
         """
         if self.compact is None:
             MetadataEngine.warm_counters_batch(self, sector_indices, passes)
@@ -732,11 +710,9 @@ class PlutusEngine(MetadataEngine):
         uniq, counts = np.unique(sectors, return_counts=True)
         uniq_l = uniq.tolist()
         totals = (counts * int(passes)).tolist()
-        if self.counters.bulk_increment_safe(
-            uniq_l, totals
-        ) and self.compact.bulk_writes_safe(uniq_l, totals):
+        if self.counters.bulk_increment_safe(uniq_l, totals):
             self.counters.bulk_increment(uniq_l, totals)
-            self.compact.bulk_writes(uniq_l, totals)
+            self.compact.apply_write_totals(uniq_l, totals)
             return
         increment = self.counters.increment_fast
         plan_write = self.compact.plan_write_code

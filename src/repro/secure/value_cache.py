@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import mask_low_bits
 from repro.common.errors import ConfigurationError
@@ -243,93 +243,151 @@ class ValueCache:
     #
     # The batch replay path derives the masked probe keys for a whole
     # run with one numpy pass (see :meth:`mask_keys`) and then drives
-    # the cache through these key-based twins of verify_sector /
-    # observe_many / write_verifiable. Each twin replays the scalar
-    # method's per-key dict operations in the same order, so state,
-    # LRU order, and statistics stay byte-identical; only the per-value
-    # ``_key()`` calls and the UnitCheck allocations are gone.
+    # the cache through one call per run. Each run loop replays, sector
+    # by sector, exactly the dict operations of the scalar methods
+    # (verify_sector then observe_many for a fill; observe_many then
+    # write_verifiable for a writeback) in the same order, so state,
+    # LRU order and statistics stay byte-identical; the per-value
+    # ``_key()`` calls, the UnitCheck allocations and the per-sector
+    # attribute lookups are gone. Masking a key again is a no-op, so
+    # the scalar methods accept keys too and stay the oracle.
 
     def mask_keys(self, values: Sequence[int]) -> List[int]:
         """Masked probe keys for raw 32-bit values (order preserved)."""
         return [self._key(v) for v in values]
 
-    def verify_keys(self, keys: Sequence[int]) -> bool:
-        """:meth:`verify_sector` over pre-masked keys."""
+    def fill_run(
+        self, keys_list: Sequence[Optional[Sequence[int]]]
+    ) -> Tuple[List[bool], int, int]:
+        """Value-verify then train on each sector of a fill run.
+
+        *keys_list* holds each sector's masked keys, or None for a
+        sector without an image (it needs its MAC). Returns the rows
+        whose MAC must be fetched, the number of sectors verified by
+        value and the number that failed the check.
+        """
         cfg = self.config
         per_unit = cfg.values_per_unit
-        nkeys = len(keys)
-        if nkeys % per_unit != 0:
-            raise ValueError("sector values must fill whole units")
-        stats = self.stats
-        pinned = self._pinned
-        transient = self._transient
+        need = cfg.hits_required
         freq_cap = (1 << cfg.freq_bits) - 1
         pin_at = cfg.pin_threshold
         pin_cap = self._pinned_capacity
-        need = cfg.hits_required
+        cap = self._transient_capacity
+        pinned = self._pinned
+        transient = self._transient
+        get = transient.get
+        move = transient.move_to_end
+        evict = transient.popitem
         probes = hits_total = pinned_total = promotions = 0
-        passed = True
-        stats.sectors_checked += 1
-        for start in range(0, nkeys, per_unit):
-            hits = 0
-            for key in keys[start:start + per_unit]:
-                probes += 1
-                if key in pinned:
+        verified = failed = 0
+        rows: List[bool] = []
+        append = rows.append
+        for keys in keys_list:
+            if keys is None:
+                append(True)
+                continue
+            nkeys = len(keys)
+            if nkeys % per_unit:
+                raise ValueError("sector values must fill whole units")
+            passed = True
+            for start in range(0, nkeys, per_unit):
+                hits = 0
+                for key in keys[start:start + per_unit]:
+                    probes += 1
+                    if key in pinned:
+                        hits += 1
+                        pinned_total += 1
+                        continue
+                    freq = get(key)
+                    if freq is None:
+                        continue
                     hits += 1
-                    pinned_total += 1
-                elif key in transient:
-                    hits += 1
-                    freq = min(transient[key] + 1, freq_cap)
-                    transient[key] = freq
-                    transient.move_to_end(key)
+                    freq = freq + 1 if freq < freq_cap else freq_cap
                     if freq >= pin_at and len(pinned) < pin_cap:
-                        pinned[key] = transient.pop(key)
+                        del transient[key]
+                        pinned[key] = freq
                         promotions += 1
-            hits_total += hits
-            if hits < need:
-                passed = False
-                break  # scalar verify_sector short-circuits here too
+                    else:
+                        transient[key] = freq
+                        move(key)
+                hits_total += hits
+                if hits < need:
+                    passed = False
+                    break  # verify_sector short-circuits here too
+            if passed:
+                verified += 1
+            else:
+                failed += 1
+            append(not passed)
+            for key in keys:  # observe_many
+                if key in pinned:
+                    continue
+                if key in transient:
+                    move(key)
+                    continue
+                if len(transient) >= cap:
+                    evict(last=False)
+                transient[key] = 1
+        stats = self.stats
         stats.probes += probes
         stats.hits += hits_total
         stats.pinned_hits += pinned_total
         stats.promotions += promotions
-        if passed:
-            stats.sectors_verified += 1
-        else:
-            stats.sectors_failed += 1
-        return passed
+        stats.sectors_checked += verified + failed
+        stats.sectors_verified += verified
+        stats.sectors_failed += failed
+        return rows, verified, failed
 
-    def observe_keys(self, keys: Sequence[int]) -> None:
-        """:meth:`observe_many` over pre-masked keys."""
-        pinned = self._pinned
-        transient = self._transient
-        cap = self._transient_capacity
-        for key in keys:
-            if key in pinned:
-                continue
-            if key in transient:
-                transient.move_to_end(key)
-                continue
-            if len(transient) >= cap:
-                transient.popitem(last=False)
-            transient[key] = 1
+    def writeback_run(
+        self, keys_list: Sequence[Optional[Sequence[int]]]
+    ) -> Tuple[List[bool], int]:
+        """Train on each sector of a writeback run, then check it.
 
-    def write_verifiable_keys(self, keys: Sequence[int]) -> bool:
-        """:meth:`write_verifiable` over pre-masked keys (state-free)."""
+        Returns the rows whose MAC must be written (no image, or not
+        provably verifiable at the next read) and the number of MAC
+        writes avoided.
+        """
         cfg = self.config
         per_unit = cfg.values_per_unit
-        if len(keys) % per_unit != 0:
-            raise ValueError("sector values must fill whole units")
-        pinned = self._pinned
         need = cfg.hits_required
-        for start in range(0, len(keys), per_unit):
-            hits = 0
-            for key in keys[start:start + per_unit]:
+        cap = self._transient_capacity
+        pinned = self._pinned
+        transient = self._transient
+        move = transient.move_to_end
+        evict = transient.popitem
+        avoided = 0
+        rows: List[bool] = []
+        append = rows.append
+        for keys in keys_list:
+            if keys is None:
+                append(True)
+                continue
+            nkeys = len(keys)
+            if nkeys % per_unit:
+                raise ValueError("sector values must fill whole units")
+            for key in keys:  # observe_many
                 if key in pinned:
-                    hits += 1
-            if hits < need:
-                return False
-        return True
+                    continue
+                if key in transient:
+                    move(key)
+                    continue
+                if len(transient) >= cap:
+                    evict(last=False)
+                transient[key] = 1
+            # write_verifiable: every unit needs enough pinned hits.
+            verifiable = True
+            for start in range(0, nkeys, per_unit):
+                hits = 0
+                for key in keys[start:start + per_unit]:
+                    if key in pinned:
+                        hits += 1
+                if hits < need:
+                    verifiable = False
+                    break
+            if verifiable:
+                avoided += 1
+            append(not verifiable)
+        return rows, avoided
 
     def state_summary(self):
         """Canonical full-state value for differential comparison.

@@ -41,6 +41,7 @@ from repro.gpu.config import VOLTA
 from repro.gpu.simulator import MemoryEventLog, replay_events, replay_matrix
 from repro.harness.runner import engine_factories
 from repro.mem.traffic import TrafficCounter
+from repro.secure.plutus import _CounterUnit
 from repro.secure.pssm import PssmEngine
 from repro.secure.value_cache import ValueCache
 
@@ -66,6 +67,48 @@ ENGINE_KEYS = (
 )
 
 _FACTORIES = engine_factories()
+
+
+def _doctor_value_training(monkeypatch, skip):
+    """Swap the value cache's run loops for scalar ones that skip the
+    training (``observe_many``) of a sector wherever ``skip(cache)``
+    says so: the batch path forgetting to train the value cache.
+
+    The keys a run carries are already masked, and masking is
+    idempotent, so the scalar ``verify_sector``/``write_verifiable``
+    take them as values. With a *skip* that never fires, the doctored
+    loops are the scalar oracle itself.
+    """
+
+    def fill_run(self, keys_list):
+        rows, verified, failed = [], 0, 0
+        for keys in keys_list:
+            if keys is None:
+                rows.append(True)
+                continue
+            passed = self.verify_sector(keys)
+            verified += passed
+            failed += not passed
+            rows.append(not passed)
+            if not skip(self):
+                self.observe_many(keys)
+        return rows, verified, failed
+
+    def writeback_run(self, keys_list):
+        rows, avoided = [], 0
+        for keys in keys_list:
+            if keys is None:
+                rows.append(True)
+                continue
+            if not skip(self):
+                self.observe_many(keys)
+            verifiable = self.write_verifiable(keys)
+            avoided += verifiable
+            rows.append(not verifiable)
+        return rows, avoided
+
+    monkeypatch.setattr(ValueCache, "fill_run", fill_run)
+    monkeypatch.setattr(ValueCache, "writeback_run", writeback_run)
 
 
 def _hot_images():
@@ -316,8 +359,12 @@ class TestDoctoredImplementationsAreCaught:
         events = [(i % 2 == 1, 300 + (i % 5), VALUE_POOL[i % 4])
                   for i in range(60)]
         ref_digest, _, _ = _scalar_replay("plutus", events, 0)
-        monkeypatch.setattr(ValueCache, "observe_keys",
-                            lambda self, keys: None)
+        # Undoctored, the swapped-in loops match the scalar replay ...
+        _doctor_value_training(monkeypatch, skip=lambda cache: False)
+        digest, _, _ = _batched_replay("plutus", events, 0, cuts=set())
+        assert digest == ref_digest
+        # ... so the divergence below is the skipped training alone.
+        _doctor_value_training(monkeypatch, skip=lambda cache: True)
         digest, _, _ = _batched_replay("plutus", events, 0, cuts=set())
         assert digest != ref_digest, (
             "state digest failed to catch the skipped value-cache training"
@@ -326,8 +373,7 @@ class TestDoctoredImplementationsAreCaught:
     def test_differential_failure_shrinks_with_ddmin(self, monkeypatch):
         # The suite's failure path: shrink the breaking trace with the
         # fuzzer's ddmin to a minimal reproducer.
-        monkeypatch.setattr(ValueCache, "observe_keys",
-                            lambda self, keys: None)
+        _doctor_value_training(monkeypatch, skip=lambda cache: True)
         log = _small_log(seed=9, pattern="value-hot")
         events = [
             (ev.kind is EventKind.WRITEBACK, ev.sector_index, ev.values)
@@ -405,6 +451,25 @@ class TestStagedMatrix:
         events, passes, _ = trace
         assert _staged_mismatches(_partition_log(events, passes), keys) == []
 
+    def test_counter_stage_never_builds_mac_state(self, monkeypatch):
+        # A counter+tree stage drives whole Plutus engines through their
+        # counter hooks only; their MAC cache and stage stay unbuilt.
+        engines = []
+        release = _CounterUnit.release
+
+        def keep(unit):
+            engines.extend(unit.parts.values())
+            release(unit)
+
+        monkeypatch.setattr(_CounterUnit, "release", keep)
+        events = [(i % 3 == 0, 40 + 7 * i, VALUE_POOL[i % 4])
+                  for i in range(30)]
+        log = _partition_log(events, 1)
+        keys = ("plutus", "plutus:vcache-64", "compact:2bit")
+        assert _staged_mismatches(log, keys) == []
+        assert engines
+        assert all(engine._mac_stage is None for engine in engines)
+
     def test_malformed_image_raises_at_the_scalar_event(self):
         # Two bad images of different lengths: the one the scalar replay
         # trips on first names itself in the message.
@@ -436,15 +501,14 @@ class TestStagedMatrix:
         log = _partition_log(events, 0)
         keys = ("plutus", "plutus:no-tree", "plutus:vcache-64")
         assert _staged_mismatches(log, keys) == []
-        real = ValueCache.observe_keys
 
-        def skip_first(self, keys):
-            if getattr(self, "skipped", False):
-                real(self, keys)
-            else:
-                self.skipped = True
+        def skip_first(cache):
+            if getattr(cache, "skipped", False):
+                return False
+            cache.skipped = True
+            return True
 
-        monkeypatch.setattr(ValueCache, "observe_keys", skip_first)
+        _doctor_value_training(monkeypatch, skip_first)
         mismatches = _staged_mismatches(log, keys)
         for key in keys:
             assert any(m.startswith(f"{key}: engine stats") for m in mismatches)

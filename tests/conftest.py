@@ -6,6 +6,7 @@ benchmark harness owns those).
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.common.rng import RngStream
 from repro.gpu.config import VOLTA
@@ -13,6 +14,14 @@ from repro.gpu.simulator import replay_events, simulate_l2
 from repro.mem.cache import CacheConfig, SectoredCache
 from repro.mem.traffic import TrafficCounter
 from repro.workloads.benchmarks import build_trace
+
+#: ``pytest --hypothesis-profile=deep``: the kernel oracles (raw cache
+#: runs, raw-path BMT walks, bulk compact warmup) at many more
+#: examples, derandomized so a CI failure replays exactly. Properties
+#: that pin ``max_examples`` themselves keep their own count.
+settings.register_profile(
+    "deep", max_examples=1500, derandomize=True, deadline=None
+)
 
 
 @pytest.fixture

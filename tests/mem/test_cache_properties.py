@@ -80,3 +80,66 @@ def test_stats_balance(operations):
         cache.access(line, mask, write=write)
     assert cache.stats.sector_hits + cache.stats.sector_misses == total_sectors
     assert cache.stats.accesses == len(operations)
+
+
+# -- the raw run path against repeated object-path accesses -------------------
+#
+# The batch replay and the BMT walks drive caches through
+# access_run_raw; the scalar oracle drives them through access(). Both
+# share the cache, so only a direct comparison can catch a raw-path
+# slip. These properties take their example count from the active
+# Hypothesis profile (CI runs them deeper).
+
+shapes = st.sampled_from([
+    # (size_bytes, line_bytes, ways, sectored): power-of-two and
+    # non-power-of-two set counts, a fully associative cache, and
+    # whole-line caches.
+    (2048, 128, 4, True),
+    (1536, 128, 4, True),
+    (512, 128, 4, True),
+    (1024, 128, 2, False),
+    (3072, 256, 2, True),
+])
+raw_runs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=95),
+        st.integers(min_value=0, max_value=255),
+        st.booleans(),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+@settings(deadline=None)
+@given(shape=shapes, operations=raw_runs)
+def test_raw_runs_match_repeated_access(shape, operations):
+    size, line_bytes, ways, sectored = shape
+    config = CacheConfig(name="p", size_bytes=size, line_bytes=line_bytes,
+                         ways=ways, sectored=sectored)
+    ref = SectoredCache(config)
+    raw = SectoredCache(config)
+    full = config.full_mask
+    for index, mask, write, count in operations:
+        line = index * line_bytes
+        mask &= full
+        if not mask:
+            mask = 1
+        first = ref.access(line, mask, write=write)
+        for _ in range(count - 1):
+            again = ref.access(line, mask, write=write)
+            assert again.is_full_hit and not again.evictions
+        miss_mask, misses, evictions = raw.access_run_raw(
+            line, mask, write, count
+        )
+        assert miss_mask == first.miss_mask
+        assert misses == first.miss_sector_count
+        assert [(e.line_addr, e.dirty_mask) for e in evictions] == [
+            (e.line_addr, e.dirty_mask) for e in first.evictions
+        ]
+        assert raw.probe(line, mask) == ref.probe(line, mask)
+    assert raw.state_summary() == ref.state_summary()
+    assert [(e.line_addr, e.dirty_mask) for e in raw.flush()] == [
+        (e.line_addr, e.dirty_mask) for e in ref.flush()
+    ]

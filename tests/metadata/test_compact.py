@@ -1,6 +1,10 @@
 """Tests for compact mirrored counters (2-bit / 3-bit / adaptive)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.metadata.compact import (
@@ -161,3 +165,61 @@ class TestMirrorConsistency:
         state.force_original([4, 5])
         assert state.plan_read(4).route is CounterRoute.COMPACT_THEN_ORIGINAL
         assert state.plan_read(6).route is CounterRoute.COMPACT_ONLY
+
+
+# -- exact bulk warmup ----------------------------------------------------------
+
+#: The three Fig. 17 designs plus an adaptive block small enough that a
+#: short warmup disables it several times over.
+BULK_DESIGNS = (
+    DESIGN_2BIT,
+    DESIGN_3BIT,
+    DESIGN_3BIT_ADAPTIVE,
+    CompactCounterConfig(width_bits=2, counters_per_block=4, adaptive=True,
+                         disable_threshold=2),
+)
+
+
+@st.composite
+def warmups(draw):
+    """A design, a random prior state (forced sectors, disabled blocks,
+    saturated counts past the threshold included) and a warmup."""
+    config = draw(st.sampled_from(BULK_DESIGNS))
+    span = 3 * config.counters_per_block  # three blocks of sectors
+    sat = config.saturation_value
+    sectors = st.integers(min_value=0, max_value=span - 1)
+    blocks = st.integers(min_value=0, max_value=2)
+    state = CompactCounterState(config)
+    state._writes.update(draw(st.dictionaries(
+        sectors, st.integers(min_value=0, max_value=sat + 1), max_size=12,
+    )))
+    state._saturated_in_block.update(draw(st.dictionaries(
+        blocks,
+        st.integers(min_value=0, max_value=config.disable_threshold + 1),
+    )))
+    state._disabled_blocks.update(draw(st.sets(blocks, max_size=2)))
+    state._forced_original.update(draw(st.sets(sectors, max_size=6)))
+    warm = draw(st.lists(sectors, min_size=1, max_size=40))
+    passes = draw(st.integers(min_value=1, max_value=3))
+    return state, warm, passes
+
+
+@settings(deadline=None)
+@given(case=warmups())
+def test_bulk_writes_match_pass_major_plan_writes(case):
+    """``apply_write_totals`` leaves exactly the state of the per-event
+    warmup loop (pass-major ``plan_write_code``), whatever crossings
+    and disables the writes cause."""
+    state, warm, passes = case
+    ref = CompactCounterState(state.config)
+    ref._writes.update(state._writes)
+    ref._saturated_in_block.update(state._saturated_in_block)
+    ref._disabled_blocks.update(state._disabled_blocks)
+    ref._forced_original.update(state._forced_original)
+    for _ in range(passes):
+        for sector in warm:
+            ref.plan_write_code(sector)
+    totals = Counter(warm)
+    uniq = sorted(totals)
+    state.apply_write_totals(uniq, [totals[s] * passes for s in uniq])
+    assert state.state_summary() == ref.state_summary()
